@@ -81,7 +81,8 @@ std::vector<std::vector<ItpBytes>> make_streams(std::uint64_t ticks) {
   for (std::size_t s = 0; s < kUniqueStreams; ++s) {
     auto trajectory = std::make_shared<CircleTrajectory>(
         Position{0.09, 0.0, -0.11}, 0.010 + 0.0001 * static_cast<double>(s), 2.5, 1.0e9);
-    MasterConsole console(std::move(trajectory), PedalSchedule::hold_from(0.05));
+    MasterConsole console(std::move(trajectory),
+                          PedalSchedule::hold_from(kPedalAfterHomingSec));
     streams[s].reserve(ticks);
     for (std::uint64_t t = 0; t < ticks; ++t) streams[s].push_back(encode_itp(console.tick()));
   }

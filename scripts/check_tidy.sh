@@ -7,7 +7,8 @@
 # baselined and burned down incrementally.
 #
 # Environments without clang-tidy (the reference CI image ships only
-# g++) pass with a note instead of failing.
+# g++) exit 77 with a "skipped" reason line, which tier1.sh lists as
+# SKIPPED; any other non-zero status is a failure.
 #
 #   scripts/check_tidy.sh                   # diff against the baseline
 #   scripts/check_tidy.sh --write-baseline  # re-capture the baseline
@@ -17,8 +18,8 @@ cd "$(dirname "$0")/.."
 BASELINE=scripts/clang_tidy_baseline.txt
 
 if ! command -v clang-tidy >/dev/null 2>&1; then
-  echo "check_tidy: clang-tidy not installed; skipping (gate is advisory)"
-  exit 0
+  echo "check_tidy: skipped: clang-tidy not installed"
+  exit 77
 fi
 if [ ! -f build/compile_commands.json ]; then
   echo "check_tidy: build/compile_commands.json missing; run cmake -B build -S . first" >&2

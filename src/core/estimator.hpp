@@ -57,9 +57,9 @@ struct EstimatorConfig {
 /// Snapshot of one deferred model integration: everything needed to turn
 /// the estimator's current state into its one-step-ahead state.  Produced
 /// by DynamicModelEstimator::begin_predict and consumed either by the
-/// scalar DynamicModelEstimator::solve or — for homogeneous campaign
-/// batches — by a BatchRavenModel solving many sims' pendings lane-wise
-/// (sim/lockstep.hpp).  `active` is false while the estimator has no
+/// scalar DynamicModelEstimator::solve or — for lane batches — by a
+/// BatchRavenModel solving many stacks' pendings lane-wise (step_lanes,
+/// stack/robot_stack.hpp).  `active` is false while the estimator has no
 /// encoder feedback yet (nothing to integrate; the prediction is invalid).
 struct PendingSolve {
   RavenDynamicsModel::State x0{};
@@ -108,9 +108,9 @@ class DynamicModelEstimator {
 
   // --- deferred-solve decomposition of predict() ---------------------------
   // predict(dac) == finish_predict(dac, solve(begin_predict(dac))).  The
-  // split lets the lockstep campaign engine gather many sims'
+  // split lets step_lanes (stack/robot_stack.hpp) gather many stacks'
   // begin_predict snapshots, integrate them in one batched SoA solve, and
-  // hand each sim its lane back through finish_predict.
+  // hand each stack its lane back through finish_predict.
 
   /// Snapshot the inputs of the one-step integration for `dac`.  Does not
   /// touch estimator state.  `active` is false without feedback.
@@ -144,7 +144,7 @@ class DynamicModelEstimator {
   [[nodiscard]] const RavenDynamicsModel::State& state() const noexcept { return state_; }
   [[nodiscard]] bool has_feedback() const noexcept { return have_feedback_; }
   /// Scalar one-step model integrations performed so far (tests assert a
-  /// screened tick costs one, not two).  Batched lockstep solves bypass
+  /// screened tick costs one, not two).  Batched lane solves bypass
   /// this counter — they never call solve().
   [[nodiscard]] std::uint64_t solves() const noexcept { return solves_; }
 

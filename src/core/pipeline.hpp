@@ -63,8 +63,8 @@ class DetectionPipeline {
 
   // --- deferred-solve decomposition of process() ---------------------------
   // process(bytes) == begin → estimator().solve(pending) → finish.  The
-  // lockstep campaign engine uses the split to batch the model solve of
-  // many sims' screens into one SoA integration (sim/lockstep.hpp); each
+  // lane driver step_lanes (stack/robot_stack.hpp) uses the split to batch
+  // the model solve of many stacks' screens into one SoA integration; each
   // phase runs the exact statements process() would.
 
   /// Everything carried from begin_process to finish_process.  Owns a
@@ -101,6 +101,7 @@ class DetectionPipeline {
     detector_.set_thresholds(thresholds);
   }
   [[nodiscard]] RG_REALTIME DynamicModelEstimator& estimator() noexcept { return estimator_; }
+  [[nodiscard]] const DynamicModelEstimator& estimator() const noexcept { return estimator_; }
   [[nodiscard]] const AnomalyDetector& detector() const noexcept { return detector_; }
 
   void reset() noexcept;

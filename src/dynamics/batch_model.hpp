@@ -13,7 +13,7 @@
 // deterministic report (asserted by tests/test_batch_dynamics.cpp).
 //
 // Users: BatchPlant (plant/batch_plant.hpp) advances K physical robots per
-// control period; LockstepGroup (sim/lockstep.hpp) adds the batched
+// control period; step_lanes (stack/robot_stack.hpp) adds the batched
 // estimator solve.
 #pragma once
 

@@ -19,6 +19,12 @@
 
 namespace rg {
 
+/// First pedal press, in session time (s), for a console driving a
+/// session from its start: ControlSoftware acts only on pedal edges, so a
+/// press during the ~0.8 s homing is lost and the arm stays braked in
+/// Pedal Up.
+inline constexpr double kPedalAfterHomingSec = 1.0;
+
 /// Pedal press intervals in session time (seconds); outside every
 /// interval the pedal is up.
 struct PedalSchedule {

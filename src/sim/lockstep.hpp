@@ -3,19 +3,15 @@
 // solve and the plant's 20-substep RK4 loop — run as batched SoA kernels
 // across the group instead of lane-at-a-time scalar code.
 //
-// Each tick interleaves the sims' phase-split step():
-//
-//   A. every sim runs tick_begin()      (console → control → screening)
-//   B. one batched estimator solve for the lanes that need one
-//   C. every sim runs tick_resolve()    (verdict, mitigation, board, PLC)
-//   D. one BatchPlant::step_control_period over all lanes
-//   E. every sim runs tick_finish()     (encoders, oracle, telemetry)
-//
-// Because the batched kernels are bit-identical to their scalar twins and
-// every per-sim phase executes the exact statements the scalar step()
-// would, each sim's trajectory, telemetry, and outcome are byte-for-byte
-// what a solo sim.run() would have produced.  The campaign engine relies
-// on that to batch homogeneous jobs without perturbing report determinism
+// Each tick runs every sim's tick_begin() (console → network → the
+// stack's screening), then step_lanes() over the sims' robot stacks
+// (stack/robot_stack.hpp: batched solve, verdicts, batched plant), then
+// every sim's tick_finish() (encoders, oracle, telemetry).  Because the
+// batched kernels are bit-identical to their scalar twins and every
+// per-sim phase executes the exact statements the scalar step() would,
+// each sim's trajectory, telemetry, and outcome are byte-for-byte what a
+// solo sim.run() would have produced.  The campaign engine relies on that
+// to batch homogeneous jobs without perturbing report determinism
 // (tests/test_batch_dynamics.cpp asserts it).
 #pragma once
 
@@ -25,7 +21,6 @@
 #include <span>
 
 #include "dynamics/batch_model.hpp"
-#include "plant/batch_plant.hpp"
 #include "sim/surgical_sim.hpp"
 
 namespace rg {
@@ -36,11 +31,10 @@ class LockstepGroup {
   /// Borrowed, not owned — the sims must outlive the group.
   explicit LockstepGroup(std::span<SurgicalSim* const> sims);
 
-  /// True when two sims may share a lockstep batch: plant configs equal
-  /// modulo seed, pipelines either both absent or running the same
-  /// estimator model/solver/step (the parts the batched solve shares;
-  /// thresholds, gains, and attacks may differ per lane).
-  [[nodiscard]] static bool compatible(const SurgicalSim& a, const SurgicalSim& b);
+  /// True when two sims may share a lockstep batch (RobotStack::compatible).
+  [[nodiscard]] static bool compatible(const SurgicalSim& a, const SurgicalSim& b) {
+    return RobotStack::compatible(a.stack_, b.stack_);
+  }
 
   /// One lockstep tick across every sim.
   void step();
@@ -49,12 +43,10 @@ class LockstepGroup {
   /// SurgicalSim::run(seconds) would execute).
   void run(double seconds);
 
-  [[nodiscard]] std::size_t lanes() const noexcept { return n_; }
-
  private:
   std::array<SurgicalSim*, kBatchLanes> sims_{};
+  std::array<RobotStack*, kBatchLanes> stacks_{};
   std::size_t n_ = 0;
-  BatchPlant plants_;
   /// Batched twin of the sims' estimator model; absent when the group
   /// runs without detection pipelines.
   std::optional<BatchRavenModel> est_model_;

@@ -26,16 +26,12 @@
 #include "attack/attack_engine.hpp"
 #include "attack/interposer.hpp"
 #include "common/clock.hpp"
-#include "control/control_software.hpp"
-#include "core/pipeline.hpp"
-#include "hw/plc.hpp"
-#include "hw/usb_board.hpp"
 #include "net/master_console.hpp"
 #include "net/udp_channel.hpp"
 #include "obs/events.hpp"
 #include "obs/flight_recorder.hpp"
-#include "plant/physical_robot.hpp"
 #include "sim/trace.hpp"
+#include "stack/robot_stack.hpp"
 
 namespace rg {
 
@@ -89,7 +85,9 @@ struct RunOutcome {
   }
 };
 
-class SurgicalSim {
+/// The harness around the shared RobotStack (stack/robot_stack.hpp): the
+/// console, the network, the interposer hops, the oracle and telemetry.
+class SurgicalSim final : private UsbHops {
  public:
   explicit SurgicalSim(SimConfig config);
 
@@ -109,14 +107,9 @@ class SurgicalSim {
 
   // --- component access -----------------------------------------------------
   [[nodiscard]] const SimClock& clock() const noexcept { return clock_; }
-  [[nodiscard]] ControlSoftware& control() noexcept { return control_; }
-  [[nodiscard]] PhysicalRobot& plant() noexcept { return plant_; }
-  [[nodiscard]] Plc& plc() noexcept { return plc_; }
-  [[nodiscard]] UsbBoard& board() noexcept { return board_; }
-  [[nodiscard]] MasterConsole& console() noexcept { return console_; }
-  [[nodiscard]] DetectionPipeline* pipeline() noexcept {
-    return pipeline_ ? &*pipeline_ : nullptr;
-  }
+  [[nodiscard]] ControlSoftware& control() noexcept { return stack_.control(); }
+  [[nodiscard]] PhysicalRobot& plant() noexcept { return stack_.plant(); }
+  [[nodiscard]] Plc& plc() noexcept { return stack_.plc(); }
   [[nodiscard]] const RunOutcome& outcome() const noexcept { return outcome_; }
 
   /// Attach a trace recorder (caller owns it; must outlive the sim run).
@@ -147,42 +140,26 @@ class SurgicalSim {
   }
 
   /// Press the physical start button (control + PLC together).
-  void press_start();
+  void press_start() { stack_.press_start(); }
 
  private:
-  // --- phase-split tick ----------------------------------------------------
-  // step() == tick_begin → [estimator solve if needs_solve] → tick_resolve
-  // → plant step → tick_finish.  LockstepGroup (sim/lockstep.hpp) drives
-  // the phases across many sims so the estimator solves and the plant
-  // substeps run batched; each phase executes the exact statements the
-  // scalar step() would.
+  // step() == tick_begin → step_lanes (solve, resolve, plant) →
+  // tick_finish.  LockstepGroup (sim/lockstep.hpp) runs the same phases
+  // across many sims, so their solves and plant periods run batched.
 
-  /// Everything one tick carries across phase boundaries.
-  struct TickScratch {
-    std::uint64_t tick = 0;
-    CommandBytes cmd{};
-    bool deliver = false;
-    bool screened = false;
-    DetectionPipeline::ScreenState screen{};
-    DetectionPipeline::Outcome det{};
-  };
-
-  /// Console → network → control software → write chain → screening up to
-  /// (not including) the estimator's model solve.
+  /// Console → network → ITP hop → the stack's tick_begin.
   void tick_begin();
-  /// True when tick_resolve still needs the solved one-step-ahead state.
-  [[nodiscard]] bool needs_solve() const noexcept {
-    return scratch_.screened && !scratch_.screen.complete;
-  }
-  [[nodiscard]] const PendingSolve& pending_solve() const noexcept {
-    return scratch_.screen.pending;
-  }
-  /// Verdict + mitigation + board latch + PLC; returns the drive the
-  /// plant must execute this period.  `next` is ignored unless
-  /// needs_solve().
-  [[nodiscard]] PlantDrive tick_resolve(const RavenDynamicsModel::State& next);
-  /// Encoder latch, oracle, trace/flight/event bookkeeping, clock tick.
+  /// Verdict bookkeeping, encoder latch, oracle, trace/flight/event
+  /// bookkeeping, clock tick.
   void tick_finish();
+
+  // UsbHops: the read and write interposer chains.
+  bool on_read(std::span<std::uint8_t> feedback) override {
+    return read_chain_.process(feedback, clock_.ticks());
+  }
+  bool on_write(std::span<std::uint8_t> command) override {
+    return write_chain_.process(command, clock_.ticks());
+  }
 
   friend class LockstepGroup;
 
@@ -194,18 +171,11 @@ class SurgicalSim {
   SimClock clock_;
   MasterConsole console_;
   UdpChannel udp_;
-  ControlSoftware control_;
-  Plc plc_;
-  UsbBoard board_;
-  PhysicalRobot plant_;
-  std::optional<DetectionPipeline> pipeline_;
+  RobotStack stack_;
 
   InterposerChain itp_chain_;
   InterposerChain write_chain_;
   InterposerChain read_chain_;
-
-  FeedbackBytes last_feedback_{};
-  bool started_ = false;
 
   // Oracle state: rings of recent ground-truth end-effector positions and
   // of the operator's *clean* (pre-attack) commanded positions; "abrupt
@@ -223,8 +193,6 @@ class SurgicalSim {
   Position clean_desired_{};
   bool clean_desired_valid_ = false;
   RunOutcome outcome_{};
-
-  TickScratch scratch_{};
 
   TraceRecorder* trace_ = nullptr;
   DetectionObserver detection_observer_;

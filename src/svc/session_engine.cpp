@@ -4,101 +4,39 @@
 
 namespace rg::svc {
 
-namespace {
-
-JointVector default_initial_joints(const ControlConfig& control) {
-  // Mirror the simulation harness: slightly off the homing target so the
-  // Init phase does real work before teleoperation.
-  JointVector q = control.limits.midpoint();
-  q[0] += 0.05;
-  q[1] -= 0.04;
-  q[2] += 0.01;
-  return q;
-}
-
-}  // namespace
-
 SessionEngine::SessionEngine(const SessionEngineConfig& config)
-    : config_(config),
-      control_(config.control),
-      plc_(config.plc),
-      board_(plc_, config.channel),
-      plant_(config.plant),
-      pipeline_(config.detection) {
-  plant_.set_joint_config(config_.initial_joints.value_or(default_initial_joints(config_.control)));
-  board_.latch_encoders(plant_.motor_positions(), plant_.wrist_positions());
-  if (config_.calibration.enabled) {
-    sketch_ = std::make_unique<ThresholdSketch>(config_.calibration.target_quantile);
+    : stack_(config.control, config.plant, config.plc, config.channel, config.detection,
+             config.initial_joints) {
+  if (config.calibration.enabled) {
+    sketch_ = std::make_unique<ThresholdSketch>(config.calibration.target_quantile);
   }
 }
 
 RG_REALTIME void SessionEngine::tick_begin(std::optional<std::span<const std::uint8_t>> itp) {
-  cmd_ = CommandBytes{};
-  screen_ = DetectionPipeline::ScreenState{};
-  screened_ = false;
-
   // A live gateway session has no operator walking to the start button:
   // arm the control software and PLC on the first tick.
-  if (!started_) {
-    control_.press_start();
-    plc_.press_start();
-    started_ = true;
-  }
-
-  // 1. Feedback from the interface board (the encoders the plant twin
-  //    latched at the end of the previous tick).
-  feedback_ = board_.build_feedback();
-
-  // 2. The 1 kHz control cycle under the ingested datagram.
-  cmd_ = control_.tick(itp, std::span{feedback_});
-
-  // 3. Detection pipeline: feedback + screening up to the model solve.
-  pipeline_.set_engaged(!plc_.brakes_engaged());
-  MotorVector encoder_angles;
-  for (std::size_t i = 0; i < 3; ++i) encoder_angles[i] = board_.encoder_angle(i);
-  pipeline_.observe_feedback(encoder_angles);
-  screen_ = pipeline_.begin_process(std::span{cmd_});
-  screened_ = true;
-}
-
-RG_REALTIME void SessionEngine::tick_resolve(const RavenDynamicsModel::State& next) {
-  const DetectionPipeline::Outcome out = pipeline_.finish_process(screen_, next);
-  last_ = TickResult{true, out.alarm, out.blocked};
-  if (out.alarm) ++alarms_;
-  if (out.blocked) {
-    ++blocked_;
-    cmd_ = out.bytes;
-    if (config_.detection.mitigation == MitigationStrategy::kEStop &&
-        config_.detection.mitigation_enabled) {
-      plc_.press_estop();
-    }
-  }
-  fold_digest(out);
-  if (sketch_) sketch_->observe(out.prediction);
-
-  // The board refuses malformed commands and keeps its previous latch.  An
-  // in-process encode can't be malformed, but if the tick scratch were ever
-  // corrupted the refusal means no new command executed — report the tick
-  // as unscreened rather than pretending the verdict drove the plant.
-  const Status accepted = board_.receive_command(std::span<const std::uint8_t>{cmd_});
-  if (!accepted.ok()) last_.screened = false;
-  plc_.tick();
-  drive_ = PlantDrive{board_.modeled_currents(), plc_.brakes_engaged(), board_.wrist_currents()};
+  if (!stack_.started()) stack_.press_start();
+  stack_.tick_begin(itp);
 }
 
 RG_REALTIME SessionEngine::TickResult SessionEngine::tick_finish() {
-  board_.latch_encoders(plant_.motor_positions(), plant_.wrist_positions());
+  stack_.tick_finish();
+  const DetectionPipeline::Outcome& out = stack_.outcome();
+  if (out.alarm) ++alarms_;
+  if (out.blocked) ++blocked_;
+  fold_digest(out);
+  if (sketch_) sketch_->observe(out.prediction);
   ++ticks_;
-  return last_;
+  // A command the board refused never executed: report the tick as
+  // unscreened rather than pretending the verdict drove the plant.
+  return TickResult{stack_.screened() && stack_.accepted(), out.alarm, out.blocked};
 }
 
 RG_REALTIME SessionEngine::TickResult SessionEngine::tick(
     std::optional<std::span<const std::uint8_t>> itp) {
   tick_begin(itp);
-  RavenDynamicsModel::State next{};
-  if (needs_solve()) next = pipeline_.estimator().solve(screen_.pending);
-  tick_resolve(next);
-  plant_.step_control_period(drive_.currents, drive_.brakes_engaged, drive_.wrist_currents);
+  RobotStack* const lane = &stack_;
+  step_lanes(std::span<RobotStack* const>{&lane, 1}, nullptr);
   return tick_finish();
 }
 

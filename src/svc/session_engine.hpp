@@ -1,19 +1,18 @@
 // SessionEngine: one surgeon session's server-side stack.
 //
 // The gateway runs, per session, the same trusted chain the simulation
-// harness wires up — control software, PLC, USB interface board, plant
-// twin, and the detection pipeline — but driven by *externally ingested*
-// ITP datagrams instead of an in-process master console.  One accepted
-// datagram advances the session by exactly one 1 kHz control tick, so a
-// session's verdict stream is a pure function of its datagram stream:
-// that is what makes gateway runs deterministic at any shard count.
+// harness wires up — the shared RobotStack (stack/robot_stack.hpp):
+// control software, PLC, USB interface board, plant twin, and the
+// detection pipeline — but driven by *externally ingested* ITP datagrams
+// instead of an in-process master console.  One accepted datagram
+// advances the session by exactly one 1 kHz control tick, so a session's
+// verdict stream is a pure function of its datagram stream: that is what
+// makes gateway runs deterministic at any shard count.
 //
-// The tick is phase-split exactly like SurgicalSim's (begin / solve /
-// resolve / plant / finish) so a shard can gather up to kBatchLanes
-// sessions and run the two model-physics hot spots — the estimator's
-// one-step solve and the plant's RK4 substep loop — through the batched
-// SoA kernels (dynamics/batch_model.hpp).  The batched kernels are
-// bit-identical to the scalar ones, so batching never perturbs a verdict.
+// On top of the stack the engine keeps the session's verdict digest,
+// counters and optional calibration sketch.  A shard runs up to
+// kBatchLanes sessions' stacks through step_lanes() between their
+// tick_begin() and tick_finish().
 #pragma once
 
 #include <cstdint>
@@ -22,12 +21,8 @@
 #include <span>
 
 #include "common/realtime.hpp"
-#include "control/control_software.hpp"
-#include "core/pipeline.hpp"
 #include "core/quantile_sketch.hpp"
-#include "hw/plc.hpp"
-#include "hw/usb_board.hpp"
-#include "plant/physical_robot.hpp"
+#include "stack/robot_stack.hpp"
 
 namespace rg::svc {
 
@@ -69,33 +64,30 @@ class SessionEngine {
   /// models a within-session gap the caller chose to tick through).
   RG_REALTIME TickResult tick(std::optional<std::span<const std::uint8_t>> itp);
 
-  // --- phase-split tick (the shard's batched driver) -----------------------
+  // --- phase-split tick (RobotStack's phases, see stack/robot_stack.hpp) ---
+  /// Arms the session on its first tick, then the stack's tick_begin.
   RG_REALTIME void tick_begin(std::optional<std::span<const std::uint8_t>> itp);
-  [[nodiscard]] RG_REALTIME bool needs_solve() const noexcept {
-    return screened_ && !screen_.complete;
-  }
+  [[nodiscard]] RG_REALTIME bool needs_solve() const noexcept { return stack_.needs_solve(); }
   [[nodiscard]] RG_REALTIME const PendingSolve& pending_solve() const noexcept {
-    return screen_.pending;
+    return stack_.pending_solve();
   }
-  /// Verdict + mitigation + board latch + PLC tick; stashes the plant
-  /// drive for this period.  `next` is ignored unless needs_solve().
-  RG_REALTIME void tick_resolve(const RavenDynamicsModel::State& next);
-  [[nodiscard]] RG_REALTIME const PlantDrive& drive() const noexcept { return drive_; }
-  /// Encoder latch + per-session bookkeeping; the caller has stepped the
-  /// plant (scalar or batched lane) with drive() in between.
+  RG_REALTIME void tick_resolve(const RavenDynamicsModel::State& next) {
+    stack_.tick_resolve(next);
+  }
+  [[nodiscard]] RG_REALTIME const PlantDrive& drive() const noexcept { return stack_.drive(); }
+  /// Encoder latch + the verdict's digest, counters and sketch, after the
+  /// caller stepped the plant (scalar or batched lane) with drive().
   RG_REALTIME TickResult tick_finish();
 
   // --- introspection -------------------------------------------------------
-  [[nodiscard]] RG_REALTIME PhysicalRobot& plant() noexcept { return plant_; }
-  [[nodiscard]] DetectionPipeline& pipeline() noexcept { return pipeline_; }
-  [[nodiscard]] ControlSoftware& control() noexcept { return control_; }
+  [[nodiscard]] RG_REALTIME RobotStack& stack() noexcept { return stack_; }
+  [[nodiscard]] RG_REALTIME PhysicalRobot& plant() noexcept { return stack_.plant(); }
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
   [[nodiscard]] std::uint64_t alarms() const noexcept { return alarms_; }
   [[nodiscard]] std::uint64_t blocked() const noexcept { return blocked_; }
   /// Whether the session's PLC has latched E-STOP (absorbing until reset;
   /// surfaced through ShardSessionStats and the admin /readyz probe).
-  [[nodiscard]] bool estop_latched() const noexcept { return plc_.estop_latched(); }
-  [[nodiscard]] const TickResult& last() const noexcept { return last_; }
+  [[nodiscard]] bool estop_latched() const noexcept { return stack_.plc().estop_latched(); }
 
   /// FNV-1a fold of every tick's verdict (screened/alarm/blocked and the
   /// bit pattern of the predicted end-effector displacement).  Two runs
@@ -114,30 +106,16 @@ class SessionEngine {
  private:
   RG_REALTIME void fold_digest(const DetectionPipeline::Outcome& out) noexcept;
 
-  SessionEngineConfig config_;
-  ControlSoftware control_;
-  Plc plc_;
-  UsbBoard board_;
-  PhysicalRobot plant_;
-  DetectionPipeline pipeline_;
-
-  // Per-tick scratch carried across the phase boundaries.
-  CommandBytes cmd_{};
-  DetectionPipeline::ScreenState screen_{};
-  bool screened_ = false;
-  PlantDrive drive_{};
-  FeedbackBytes feedback_{};
+  RobotStack stack_;
 
   /// Heap-allocated (once, at construction) so disabled sessions don't
   /// pay the sketch's ~74 KB of exact-phase buffers.
   std::unique_ptr<ThresholdSketch> sketch_;
 
-  bool started_ = false;
   std::uint64_t ticks_ = 0;
   std::uint64_t alarms_ = 0;
   std::uint64_t blocked_ = 0;
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  TickResult last_{};
 };
 
 }  // namespace rg::svc

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/span.hpp"
-#include "plant/batch_plant.hpp"
 
 namespace rg::svc {
 
@@ -141,15 +140,6 @@ RG_THREAD(pump) void GatewayShard::process_pending() {
   drain_burst(burst_);
 }
 
-RG_THREAD(pump) bool GatewayShard::idle() const {
-  std::uint64_t done = 0;
-  {
-    const std::lock_guard<std::mutex> lock(idle_mutex_);
-    done = completed_;
-  }
-  return done == submitted_;
-}
-
 RG_THREAD(pump) void GatewayShard::wait_idle() {
   if (!started_) {
     process_pending();
@@ -223,59 +213,15 @@ RG_REALTIME RG_THREAD(shard) RG_DETERMINISTIC void GatewayShard::round_tick(
   auto& reg = obs::Registry::global();
   reg.observe(round_lanes_hist_, n);
 
-  // Phase A — control cycle + screening up to the model solve.
+  // Control cycle + screening, then the shared lane driver (batched
+  // solve, verdicts, batched plant), then per-session bookkeeping.
+  std::array<RobotStack*, kBatchLanes> lanes{};
   for (std::size_t l = 0; l < n; ++l) {
     chunk[l]->engine.tick_begin(std::span<const std::uint8_t>{datagrams[l].first});
+    lanes[l] = &chunk[l]->engine.stack();
   }
+  step_lanes(std::span<RobotStack* const>{lanes.data(), n}, &est_model_);
 
-  // Phase B — one batched estimator solve for the lanes that need one.
-  std::array<RavenDynamicsModel::State, kBatchLanes> next{};
-  std::array<bool, kBatchLanes> solving{};
-  std::size_t first_solving = kBatchLanes;
-  for (std::size_t l = 0; l < n; ++l) {
-    solving[l] = chunk[l]->engine.needs_solve();
-    if (solving[l] && first_solving == kBatchLanes) first_solving = l;
-  }
-  if (first_solving != kBatchLanes) {
-    const PendingSolve& ref = chunk[first_solving]->engine.pending_solve();
-    BatchState x;
-    BatchLanes3 currents{};
-    x.set_lane(0, ref.x0);
-    for (std::size_t i = 0; i < 3; ++i) currents[i].fill(ref.currents[i]);
-    x.broadcast(0);
-    for (std::size_t l = 0; l < n; ++l) {
-      if (!solving[l]) continue;
-      const PendingSolve& pending = chunk[l]->engine.pending_solve();
-      x.set_lane(l, pending.x0);
-      for (std::size_t i = 0; i < 3; ++i) currents[i][l] = pending.currents[i];
-    }
-    est_model_.step(x, currents, ref.h, ref.solver);
-    for (std::size_t l = 0; l < n; ++l) {
-      if (solving[l]) next[l] = x.lane(l);
-    }
-  }
-
-  // Phase C — verdict, mitigation, board latch, PLC.
-  std::array<PlantDrive, kBatchLanes> drives{};
-  for (std::size_t l = 0; l < n; ++l) {
-    chunk[l]->engine.tick_resolve(next[l]);
-    drives[l] = chunk[l]->engine.drive();
-  }
-
-  // Phase D — one batched plant period over the chunk (bit-identical to
-  // per-session scalar stepping; a single session skips batch setup).
-  if (n == 1) {
-    const PlantDrive& d = drives[0];
-    chunk[0]->engine.plant().step_control_period(d.currents, d.brakes_engaged,
-                                                 d.wrist_currents);
-  } else {
-    std::array<PhysicalRobot*, kBatchLanes> plants{};
-    for (std::size_t l = 0; l < n; ++l) plants[l] = &chunk[l]->engine.plant();
-    BatchPlant batch(std::span<PhysicalRobot* const>{plants.data(), n});
-    batch.step_control_period(std::span<const PlantDrive>{drives.data(), n});
-  }
-
-  // Phase E — encoders + per-session bookkeeping + latency.
   // rg-lint: allow(nondet) -- latency histogram only; never feeds the verdict
   const std::uint64_t done_ns = obs::monotonic_ns();
   for (std::size_t l = 0; l < n; ++l) {

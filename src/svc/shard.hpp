@@ -8,9 +8,10 @@
 // mailboxes and advances sessions in *rounds*: each round, every session
 // with a pending datagram consumes exactly one and runs one control
 // tick.  Sessions in a round are processed in ascending session-id order
-// and grouped kBatchLanes at a time, so the estimator solves and the
-// plant substep loops of up to eight sessions run through the batched
-// SoA kernels — the gateway serves N sessions at far less than N times
+// and grouped kBatchLanes at a time into step_lanes()
+// (stack/robot_stack.hpp), so the estimator solves and the plant substep
+// loops of up to eight sessions run through the batched SoA kernels —
+// the gateway serves N sessions at far less than N times
 // the scalar cost, and because the batched kernels are bit-identical to
 // the scalar ones, grouping never changes a verdict
 // (tests/test_gateway.cpp asserts determinism at any shard count and any
@@ -104,9 +105,6 @@ class GatewayShard {
   /// Inline mode: process everything currently queued on the caller's
   /// thread.  (Threaded shards do this on their worker.)
   RG_THREAD(pump) void process_pending();
-
-  /// Every submitted item drained *and* processed.  Pump thread only.
-  [[nodiscard]] RG_THREAD(pump) bool idle() const;
 
   /// Block until every item submitted so far has been fully processed.
   /// Pump thread only (it is the producer, so submitted_ cannot advance

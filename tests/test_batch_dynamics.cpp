@@ -7,6 +7,7 @@
 // scalar execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -326,10 +327,11 @@ TEST(BatchCampaign, ReportByteIdenticalAcrossLaneAndWorkerCounts) {
 TEST(BatchCampaign, LockstepGroupMatchesSoloRunsIncludingTraces) {
   // Three sims with different seeds/attacks but shared physics: run them
   // once solo and once as a lockstep group; traces must match bitwise.
+  // The runs outlast the 1.2 s pedal press, so the lanes teleoperate.
   const auto build = [](std::uint64_t seed, bool attacked) {
     CampaignJob job;
     job.params.seed = seed;
-    job.params.duration_sec = 1.2;
+    job.params.duration_sec = 2.0;
     DetectionThresholds tight;
     tight.motor_vel = tight.motor_acc = tight.joint_vel = Vec3::filled(1.0);
     job.thresholds = tight;
@@ -400,6 +402,9 @@ TEST(BatchCampaign, LockstepGroupMatchesSoloRunsIncludingTraces) {
     EXPECT_EQ(solo_sims[k]->outcome().detector_alarm_tick,
               group_sims[k]->outcome().detector_alarm_tick);
     EXPECT_EQ(solo_sims[k]->outcome().cable_snapped, group_sims[k]->outcome().cable_snapped);
+    EXPECT_TRUE(std::any_of(solo.begin(), solo.end(), [](const TraceSample& s) {
+      return s.state == RobotState::kPedalDown;
+    })) << "lane " << k << " never teleoperated";
   }
 }
 

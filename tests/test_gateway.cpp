@@ -17,12 +17,15 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attack/itp_injection.hpp"
 #include "net/itp_packet.hpp"
 #include "net/master_console.hpp"
+#include "sim/experiment.hpp"
 #include "svc/gateway.hpp"
 #include "svc/session.hpp"
 #include "svc/transport.hpp"
@@ -278,48 +281,93 @@ TEST(Gateway, LoopbackSendBatchRecordsEgress) {
 
 // --- shard determinism -----------------------------------------------------
 
-std::vector<ItpBytes> console_stream(std::size_t which, std::size_t ticks) {
+/// Console stream `which`: a circle whose radius grows with `which`, with
+/// the pedal pressed after homing at a per-session time, so the sessions
+/// of one chunk engage on different ticks.  An attacked stream carries a
+/// scenario-A increment injection starting 100 pedal-down packets in.
+std::vector<ItpBytes> console_stream(std::size_t which, std::size_t ticks, bool attacked = false) {
   auto trajectory = std::make_shared<CircleTrajectory>(
-      Position{0.09, 0.0, -0.11}, 0.010 + 0.0005 * static_cast<double>(which), 2.5, 1.0e9);
-  MasterConsole console(std::move(trajectory), PedalSchedule::hold_from(0.02));
+      Position{0.09, 0.0, -0.11}, 0.010 + 0.0002 * static_cast<double>(which), 2.5, 1.0e9);
+  MasterConsole console(std::move(trajectory),
+                        PedalSchedule::hold_from(kPedalAfterHomingSec +
+                                                 0.013 * static_cast<double>(which)));
+  std::optional<ItpInjectionWrapper> attack;
+  if (attacked) {
+    ItpInjectionConfig cfg;
+    cfg.mode = ItpInjectionConfig::Mode::kInflateIncrement;
+    cfg.increment_magnitude = 1.3e-4;
+    cfg.duration_packets = 512;
+    cfg.delay_packets = 100;
+    cfg.seed = 99;
+    attack.emplace(cfg);
+  }
   std::vector<ItpBytes> out;
   out.reserve(ticks);
-  for (std::size_t t = 0; t < ticks; ++t) out.push_back(encode_itp(console.tick()));
+  for (std::size_t t = 0; t < ticks; ++t) {
+    out.push_back(encode_itp(console.tick()));
+    if (attack) (void)attack->on_packet(out.back(), t);
+  }
   return out;
 }
 
+/// The detector armed with E-STOP mitigation and the thresholds
+/// `raven_guard_cli learn --runs 24 --seed 42` learns from fault-free
+/// sessions.
+SessionEngineConfig armed_engine() {
+  DetectionThresholds th;
+  th.motor_vel = Vec3{16.132078742002889, 31.415926536055359, 80.177969770219008};
+  th.motor_acc = Vec3{531.48229686591765, 546.08542491399032, 1743.0181630611744};
+  th.joint_vel = Vec3{0.28250681937196004, 0.55942395498397646, 0.03753949722228208};
+  const SimConfig sim = make_session(SessionParams{}, th, MitigationMode::kArmed);
+  SessionEngineConfig cfg;
+  cfg.control = sim.control;
+  cfg.plant = sim.plant;
+  cfg.plc = sim.plc;
+  cfg.channel = sim.channel;
+  cfg.detection = *sim.detection;
+  return cfg;
+}
+
 struct EndpointOutcome {
+  std::uint32_t id = 0;
   std::uint64_t accepted = 0;
   std::uint64_t ticks = 0;
   std::uint64_t alarms = 0;
   std::uint64_t blocked = 0;
   std::uint64_t digest = 0;
+  bool estop = false;
 
   friend bool operator==(const EndpointOutcome&, const EndpointOutcome&) = default;
 };
 
 std::map<std::string, EndpointOutcome> run_sharded(std::size_t shards, bool threaded,
                                                    const std::vector<std::vector<ItpBytes>>& streams,
-                                                   std::size_t rx_batch = 64) {
+                                                   std::size_t rx_batch = 64,
+                                                   const SessionEngineConfig& engine = {}) {
   LoopbackTransport transport;
   GatewayConfig cfg;
+  cfg.engine = engine;
   cfg.shards = shards;
   cfg.threaded = threaded;
   cfg.idle_timeout_ms = 1u << 30;
   cfg.rx_batch = rx_batch;
   TeleopGateway gateway(cfg, transport);
-  // Interleave round-robin across endpoints, as concurrent consoles would.
+  // Interleave round-robin across endpoints, as concurrent consoles would,
+  // in slices short enough that no shard ring fills.
+  constexpr std::size_t kSliceTicks = 256;
   const std::size_t ticks = streams.front().size();
   for (std::size_t t = 0; t < ticks; ++t) {
     for (std::size_t s = 0; s < streams.size(); ++s) {
       inject(transport, ep(static_cast<std::uint16_t>(1000 + s)), streams[s][t]);
     }
+    if ((t + 1) % kSliceTicks == 0) pump_all(gateway, transport, 1);
   }
   pump_all(gateway, transport, 1);
   std::map<std::string, EndpointOutcome> out;
   for (const SessionStats& s : gateway.sessions()) {
-    out[s.endpoint.to_string()] = EndpointOutcome{s.counters.accepted, s.shard.ticks,
-                                                  s.shard.alarms, s.shard.blocked, s.shard.digest};
+    out[s.endpoint.to_string()] =
+        EndpointOutcome{s.id,           s.counters.accepted, s.shard.ticks, s.shard.alarms,
+                        s.shard.blocked, s.shard.digest,      s.shard.estop};
   }
   gateway.shutdown();
   return out;
@@ -327,7 +375,7 @@ std::map<std::string, EndpointOutcome> run_sharded(std::size_t shards, bool thre
 
 TEST(Gateway, VerdictStreamsInvariantUnderShardCount) {
   std::vector<std::vector<ItpBytes>> streams;
-  for (std::size_t s = 0; s < 6; ++s) streams.push_back(console_stream(s, 400));
+  for (std::size_t s = 0; s < 6; ++s) streams.push_back(console_stream(s, 1200));
 
   const auto inline_1 = run_sharded(1, false, streams);
   const auto threaded_2 = run_sharded(2, true, streams);
@@ -337,8 +385,8 @@ TEST(Gateway, VerdictStreamsInvariantUnderShardCount) {
   EXPECT_EQ(inline_1, threaded_2);
   EXPECT_EQ(inline_1, threaded_4);
   for (const auto& [endpoint, outcome] : inline_1) {
-    EXPECT_EQ(outcome.accepted, 400u) << endpoint;
-    EXPECT_EQ(outcome.ticks, 400u) << endpoint;
+    EXPECT_EQ(outcome.accepted, 1200u) << endpoint;
+    EXPECT_EQ(outcome.ticks, 1200u) << endpoint;
     EXPECT_NE(outcome.digest, 0u) << endpoint;
   }
   // Six distinct trajectories: not all verdict digests can collide.
@@ -368,6 +416,52 @@ TEST(Gateway, VerdictStreamsInvariantUnderBatchAndShardMatrix) {
           << "shards=" << shards << " rx_batch=" << batch << " threaded";
       EXPECT_EQ(reference, run_sharded(shards, false, streams, batch))
           << "shards=" << shards << " rx_batch=" << batch << " inline";
+    }
+  }
+}
+
+TEST(Gateway, ShardedTeleoperationMatchesScalarReplay) {
+  // Nine sessions: one shard runs them as an 8-lane chunk plus a 1-lane
+  // chunk, and the staggered pedal presses mix solving and non-solving
+  // lanes in one chunk.  Session 4 carries a scenario-A injection that
+  // the armed detector must catch and stop.
+  constexpr std::size_t kSessions = 9;
+  constexpr std::size_t kTicks = 1400;
+  constexpr std::size_t kAttacked = 4;
+  const SessionEngineConfig engine = armed_engine();
+  std::vector<std::vector<ItpBytes>> streams;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    streams.push_back(console_stream(s, kTicks, s == kAttacked));
+  }
+
+  const auto inline_1 = run_sharded(1, false, streams, 64, engine);
+  const auto threaded_1 = run_sharded(1, true, streams, 64, engine);
+  const auto threaded_2 = run_sharded(2, true, streams, 64, engine);
+  ASSERT_EQ(inline_1.size(), kSessions);
+  EXPECT_EQ(inline_1, threaded_1);
+  EXPECT_EQ(inline_1, threaded_2);
+
+  for (const auto* run : {&inline_1, &threaded_1}) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      const EndpointOutcome& got = run->at(ep(static_cast<std::uint16_t>(1000 + s)).to_string());
+      EXPECT_EQ(got.accepted, kTicks) << "session " << s;
+      EXPECT_EQ(got.ticks, kTicks) << "session " << s;
+
+      // The reference: the same stream alone through the scalar tick.
+      SessionEngineConfig cfg = engine;
+      cfg.plant.seed = GatewayConfig{}.plant_seed_base + got.id;
+      SessionEngine scalar(cfg);
+      for (const ItpBytes& bytes : streams[s]) {
+        (void)scalar.tick(std::span<const std::uint8_t>{bytes});
+      }
+      EXPECT_EQ(got.digest, scalar.verdict_digest()) << "session " << s;
+      EXPECT_EQ(got.alarms, scalar.alarms()) << "session " << s;
+      EXPECT_EQ(got.blocked, scalar.blocked()) << "session " << s;
+      EXPECT_EQ(got.estop, scalar.estop_latched()) << "session " << s;
+
+      // Only the attacked session alarms, and its alarm latches E-STOP.
+      EXPECT_EQ(got.alarms > 0, s == kAttacked) << "session " << s;
+      EXPECT_EQ(got.estop, s == kAttacked) << "session " << s;
     }
   }
 }

@@ -356,7 +356,7 @@ int main(int argc, char** argv) {
     auto trajectory = std::make_shared<CircleTrajectory>(
         Position{0.09, 0.0, -0.11}, 0.010 + 0.0001 * static_cast<double>(i % 16), 2.5, 1.0e9);
     cs->console = std::make_unique<MasterConsole>(std::move(trajectory),
-                                                  PedalSchedule::hold_from(0.05));
+                                                  PedalSchedule::hold_from(kPedalAfterHomingSec));
     cs->rng = Pcg32(opt.seed * 0x9e3779b97f4a7c15ULL + i);
     if (opt.rejoin_at > 0 && opt.rejoin_replay > 0) cs->sent_ring.resize(opt.rejoin_replay);
     sessions.push_back(std::move(cs));
