@@ -1,6 +1,7 @@
 // Microbenchmark for the dynamics hot kernels: scalar RavenDynamicsModel
-// vs the batched SoA BatchRavenModel (dynamics/batch_model.hpp), plus an
-// end-to-end campaign throughput comparison with lane batching off/on.
+// vs the batched SoA BatchRavenModel (dynamics/batch_model.hpp), scalar
+// PhysicalRobot periods vs one BatchPlant period, plus an end-to-end
+// campaign throughput comparison with lane batching off/on.
 //
 // The batched kernels are bit-identical to the scalar ones (asserted by
 // tests/test_batch_dynamics.cpp); this binary quantifies what that buys:
@@ -8,7 +9,9 @@
 // campaign level.  Results land in BENCH_dynamics.json (schema
 // "rg.bench.dynamics/1"; RG_BENCH_DYNAMICS_JSON overrides the path) via
 // the same atexit flush pattern bench_util.hpp uses for campaign logs.
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,6 +21,7 @@
 #include "bench_util.hpp"
 #include "dynamics/batch_model.hpp"
 #include "dynamics/raven_model.hpp"
+#include "plant/batch_plant.hpp"
 #include "sim/campaign.hpp"
 
 namespace rg::bench {
@@ -138,7 +142,7 @@ void bench_derivative(std::uint64_t iters) {
 
     t0 = std::chrono::steady_clock::now();
     for (std::uint64_t it = 0; it < chunk; ++it) {
-      batch.derivative(x, tau_em, nullptr, nullptr, dx);
+      batch.derivative(x, tau_em, dx);
       sink += dx.c[3][0];
     }
     const double bsec = seconds_since(t0);
@@ -193,6 +197,77 @@ void bench_step_rk4(std::uint64_t iters) {
   record("step_rk4", chunk * kBatchLanes, scalar_best, batched_best);
 }
 
+/// One plant control period: kBatchLanes scalar PhysicalRobot periods
+/// against one BatchPlant period over the same drives.  The two plant
+/// sets start identical and see identical drives, so after the timed
+/// passes every lane must match its scalar twin bit for bit; the bench
+/// exits non-zero if one does not.  "evals" = lane-periods.
+void bench_plant_period(std::uint64_t periods) {
+  constexpr std::size_t kDrives = 64;
+  std::vector<PhysicalRobot> scalar;
+  std::vector<PhysicalRobot> batched;
+  scalar.reserve(kBatchLanes);
+  batched.reserve(kBatchLanes);
+  for (std::size_t l = 0; l < kBatchLanes; ++l) {
+    PlantConfig config;
+    config.seed = 70 + l;
+    scalar.emplace_back(config);
+    batched.emplace_back(config);
+  }
+  std::array<PhysicalRobot*, kBatchLanes> ptrs{};
+  for (std::size_t l = 0; l < kBatchLanes; ++l) ptrs[l] = &batched[l];
+  // A deterministic drive table the passes cycle through.
+  std::vector<std::array<PlantDrive, kBatchLanes>> drives(kDrives);
+  for (std::size_t t = 0; t < kDrives; ++t) {
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+      const double phase = 0.1 * static_cast<double>(t) + 0.4 * static_cast<double>(l);
+      drives[t][l].currents = {1.5 * std::sin(phase), 0.8 * std::cos(phase), 0.4};
+      drives[t][l].wrist_currents = {0.1, -0.05, 0.02};
+    }
+  }
+
+  const std::uint64_t chunk = periods / kPasses + 1;
+  double scalar_best = 1.0e300;
+  double batched_best = 1.0e300;
+  std::size_t t = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const std::size_t t_start = t;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t it = 0; it < chunk; ++it, t = (t + 1) % kDrives) {
+      for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        const PlantDrive& d = drives[t][l];
+        scalar[l].step_control_period(d.currents, d.brakes_engaged, d.wrist_currents);
+      }
+    }
+    const double ssec = seconds_since(t0);
+    scalar_best = ssec < scalar_best ? ssec : scalar_best;
+
+    t = t_start;
+    t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t it = 0; it < chunk; ++it, t = (t + 1) % kDrives) {
+      BatchPlant batch(ptrs);
+      batch.step_control_period(drives[t]);
+    }
+    const double bsec = seconds_since(t0);
+    batched_best = bsec < batched_best ? bsec : batched_best;
+  }
+
+  for (std::size_t l = 0; l < kBatchLanes; ++l) {
+    const PhysicalRobot& a = scalar[l];
+    const PhysicalRobot& b = batched[l];
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (a.motor_positions()[i] != b.motor_positions()[i] ||
+          a.motor_velocities()[i] != b.motor_velocities()[i] ||
+          a.joint_positions()[i] != b.joint_positions()[i] ||
+          a.joint_velocities()[i] != b.joint_velocities()[i]) {
+        std::fprintf(stderr, "plant_period: lane %zu diverged from its scalar twin\n", l);
+        std::exit(1);
+      }
+    }
+  }
+  record("plant_period", chunk * kBatchLanes, scalar_best, batched_best);
+}
+
 /// End-to-end: the same homogeneous campaign with lane batching disabled
 /// (lanes=1) and enabled (lanes=kBatchLanes) on one worker thread, so the
 /// wall-clock delta is purely the batched kernels.
@@ -236,6 +311,7 @@ int main() {
   const auto iters = static_cast<std::uint64_t>(200000 * scale());
   bench_derivative(iters > 0 ? iters : 1);
   bench_step_rk4((iters > 0 ? iters : 1) / 4 + 1);
+  bench_plant_period(iters / 40 + 1);
   bench_campaign(reps(16), 1.0);
   return 0;
 }

@@ -19,7 +19,8 @@
 # the report (rg.campaign.report/2), the metrics snapshot, the Chrome
 # trace, and the safety-event JSONL (which must contain at least one
 # detector alarm and one mitigation).  Stage 5 runs the dynamics-kernel
-# microbench at a tiny scale and schema-validates BENCH_dynamics.json.
+# microbench at a tiny scale and schema-validates BENCH_dynamics.json,
+# plant_period row included.
 # Stage 6 exercises the teleoperation gateway service end to end: the
 # capacity bench at a tiny scale (schema rg.bench.gateway/2, including
 # the binary-searched capacity section and the rx_batch sweep), a
@@ -146,7 +147,7 @@ with open(sys.argv[1]) as f:
 assert doc["schema"] == "rg.bench.dynamics/1", doc.get("schema")
 assert doc["lanes"] >= 2, doc.get("lanes")
 kernels = {row["kernel"] for row in doc["kernels"]}
-assert {"derivative", "step_rk4", "campaign"} <= kernels, kernels
+assert {"derivative", "step_rk4", "plant_period", "campaign"} <= kernels, kernels
 for row in doc["kernels"]:
     assert row["evals"] > 0
     assert row["scalar_evals_per_sec"] > 0.0

@@ -13,8 +13,9 @@
 // deterministic report (asserted by tests/test_batch_dynamics.cpp).
 //
 // Users: BatchPlant (plant/batch_plant.hpp) advances K physical robots per
-// control period; step_lanes (stack/robot_stack.hpp) adds the batched
-// estimator solve.
+// control period through step_plant_period; step_lanes
+// (stack/robot_stack.hpp) adds the batched estimator solve through
+// BatchRavenModel::step.
 #pragma once
 
 #include <array>
@@ -59,51 +60,60 @@ struct alignas(64) BatchState {
   }
 };
 
+/// One plant control period of up to kBatchLanes lanes, structure of
+/// arrays where the kernel reads it lane-wise.  The caller fills the
+/// inputs once per period (unused lanes replicate a real lane so their
+/// discarded math stays finite); step_plant_period advances `x` and
+/// reports which cable axes snapped.
+struct PlantPeriodLanes {
+  BatchState x;                                  ///< in/out: lane states
+  BatchLanes3 currents{};                        ///< drive currents, noise applied (A)
+  std::array<LaneFx, kBatchLanes> fx{};          ///< period-held external effects
+  std::array<bool, kBatchLanes> locked{};        ///< brake-locked motor shafts
+  /// |cable tension| above which an axis snaps; +inf leaves it unwatched
+  /// (already snapped, or a never-snapping threshold).
+  BatchLanes3 snap_threshold{};
+  /// out: axes whose cable snapped during this period.
+  std::array<std::array<bool, 3>, kBatchLanes> snapped{};
+};
+
+/// The plant's whole control period for every lane — the batched twin of
+/// PhysicalRobot's substep loop: RK4 substeps of `substep` seconds until
+/// `duration` is spent, each followed by the cable-overload watch (a
+/// snapped axis loses its cable for the rest of the period).  `kp` is the
+/// lanes' shared flattened physics (RavenDynamicsModel::kernel_params()).
+/// One ISA-cloned call runs the substep loop, all four RK4 stages, the
+/// stage updates, the combine and the watch, so no solver update runs at
+/// the SSE2 baseline and no stage pays a dispatch.  Lane l is
+/// bit-identical to PhysicalRobot stepping that lane alone.
+RG_REALTIME void step_plant_period(const DynParams& kp, bool hard_stops, double duration,
+                                   double substep, PlantPeriodLanes& lanes) noexcept;
+
 /// K-lane RAVEN dynamics over a single parameter set (the lanes of a
-/// batch share physics; only state and inputs differ per lane).
+/// batch share physics; only state and inputs differ per lane) — the
+/// estimator's batched model.
 class BatchRavenModel {
  public:
   explicit BatchRavenModel(const RavenDynamicsParams& params);
 
-  /// dx/dt for all lanes.  `tau_em` is the per-lane electromagnetic
-  /// torque (see tau_em_from_currents); `fx`/`locked` may be null for
-  /// the nominal model (no external effects, no brake locks).  A locked
-  /// lane gets zero motor position/velocity derivatives, exactly like
-  /// the scalar plant's shaft lock.
+  /// dx/dt for all lanes under the nominal model (no external effects,
+  /// no brake locks).  `tau_em` is the per-lane electromagnetic torque
+  /// (see tau_em_from_currents).
   RG_REALTIME void derivative(const BatchState& x, const BatchLanes3& tau_em,
-                  const std::array<LaneFx, kBatchLanes>* fx, const bool* locked,
-                  BatchState& dx) const noexcept;
-
-  /// Unscaled joint-side cable tension per lane (the plant's overload
-  /// watch).
-  RG_REALTIME void cable_force(const BatchState& x, BatchLanes3& tau) const noexcept;
+                              BatchState& dx) const noexcept;
 
   /// Advance all lanes by h with the given (pre-validated) solver under
   /// per-lane motor currents; no external effects.  This is the batched
-  /// twin of RavenDynamicsModel::step — the estimator path.
+  /// twin of RavenDynamicsModel::step.
   RG_REALTIME void step(BatchState& x, const BatchLanes3& currents, double h,
             SolverKind solver) const noexcept;
-
-  /// Advance all lanes by h under precomputed tau_em, per-lane external
-  /// effects and lock flags — the plant path (BatchPlant owns the
-  /// substep/snap loop around this).
-  RG_REALTIME void step_with_effects(BatchState& x, const BatchLanes3& tau_em,
-                         const std::array<LaneFx, kBatchLanes>& fx, const bool* locked,
-                         double h, SolverKind solver) const noexcept;
 
   /// Per-lane electromagnetic torque from commanded currents (hoisted out
   /// of the per-stage loop; state-independent).
   RG_REALTIME void tau_em_from_currents(const BatchLanes3& currents, BatchLanes3& tau_em) const noexcept;
 
-  [[nodiscard]] const RavenDynamicsParams& params() const noexcept { return p_; }
-
  private:
-  template <bool HardStops>
-  RG_REALTIME void derivative_impl(const BatchState& x, const BatchLanes3& tau_em,
-                       const std::array<LaneFx, kBatchLanes>* fx, const bool* locked,
-                       BatchState& dx) const noexcept;
-
-  RavenDynamicsParams p_;
+  bool hard_stops_;
   DynParams kp_;
 };
 

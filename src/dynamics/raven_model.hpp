@@ -115,8 +115,9 @@ class RavenDynamicsModel {
   [[nodiscard]] RG_REALTIME const CableCoupling& coupling() const noexcept { return coupling_; }
   [[nodiscard]] const LinkDynamics& link() const noexcept { return link_; }
   /// The flattened constants this model evaluates with — shared verbatim
-  /// with BatchRavenModel so batched lanes are bit-identical to scalar.
-  [[nodiscard]] const DynParams& kernel_params() const noexcept { return kp_; }
+  /// with BatchRavenModel and step_plant_period so batched lanes are
+  /// bit-identical to scalar.
+  [[nodiscard]] RG_REALTIME const DynParams& kernel_params() const noexcept { return kp_; }
 
  private:
   [[nodiscard]] Vec3 cable_force(const State& x,

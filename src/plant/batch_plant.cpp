@@ -1,18 +1,14 @@
 #include "plant/batch_plant.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
 
 namespace rg {
 
-BatchPlant::BatchPlant(std::span<PhysicalRobot* const> plants)
-    : model_([&]() {
-        require(!plants.empty(), "BatchPlant needs at least one plant");
-        return plants.front()->config().dynamics;
-      }()) {
+BatchPlant::BatchPlant(std::span<PhysicalRobot* const> plants) {
+  require(!plants.empty(), "BatchPlant needs at least one plant");
   require(plants.size() <= kBatchLanes, "BatchPlant: too many plants for the lane count");
   n_ = plants.size();
   for (std::size_t l = 0; l < n_; ++l) {
@@ -41,73 +37,42 @@ RG_REALTIME void BatchPlant::step_control_period(std::span<const PlantDrive> dri
                                          kControlPeriodSec, drives[l].wrist_currents);
   }
 
-  // Gather lane states; unused lanes replicate lane 0 so their (discarded)
-  // math stays finite.
-  BatchState x;
-  x.set_lane(0, plants_[0]->state_);
-  x.broadcast(0);
-  for (std::size_t l = 1; l < n_; ++l) x.set_lane(l, plants_[l]->state_);
-
-  // Per-period lane constants: electromagnetic torque (state-independent),
-  // external effects, and shaft locks.
-  BatchLanes3 currents{};
-  std::array<LaneFx, kBatchLanes> fx{};
-  std::array<bool, kBatchLanes> locked{};
+  // Gather the lanes; unused lanes replicate lane 0 so their (discarded)
+  // math stays finite, and watch nothing.
+  PlantPeriodLanes period;
   for (std::size_t l = 0; l < kBatchLanes; ++l) {
-    const PhysicalRobot::PeriodSetup& su = setups[l < n_ ? l : 0];
+    const std::size_t src = l < n_ ? l : 0;
+    const PhysicalRobot& plant = *plants_[src];
+    const PhysicalRobot::PeriodSetup& su = setups[src];
+    period.x.set_lane(l, plant.state_);
     for (std::size_t i = 0; i < 3; ++i) {
-      currents[i][l] = su.currents[i];
-      fx[l].extra_motor_torque[i] = su.fx.extra_motor_torque[i];
-      fx[l].cable_scale[i] = su.fx.cable_scale[i];
-      fx[l].extra_joint_force[i] = su.fx.extra_joint_force[i];
+      period.currents[i][l] = su.currents[i];
+      period.fx[l].extra_motor_torque[i] = su.fx.extra_motor_torque[i];
+      period.fx[l].cable_scale[i] = su.fx.cable_scale[i];
+      period.fx[l].extra_joint_force[i] = su.fx.extra_joint_force[i];
+      // Same skip rule as the scalar integrate_period: only intact axes
+      // with a finite threshold are watched.
+      const double threshold = plant.config_.cable_snap_threshold[i];
+      const bool watch = l < n_ && !plant.snapped_[i] && threshold < kNeverSnaps;
+      period.snap_threshold[i][l] = watch ? threshold : std::numeric_limits<double>::infinity();
     }
-    locked[l] = su.shaft_locked;
+    period.locked[l] = su.shaft_locked;
   }
-  BatchLanes3 tau_em;
-  model_.tau_em_from_currents(currents, tau_em);
 
-  // Which lanes/axes still need the post-substep overload watch (same
-  // skip rule as the scalar integrate_period).
-  std::array<std::array<bool, 3>, kBatchLanes> watch{};
-  bool watch_any = false;
+  // Phase 2 — the whole substep loop in one lane-parallel call.
+  const PhysicalRobot& ref = *plants_[0];
+  step_plant_period(ref.model().kernel_params(), ref.config_.dynamics.enforce_hard_stops,
+                    kControlPeriodSec, ref.config_.substep, period);
+
+  // Phase 3 — scatter states and snaps back and run the per-lane wrist
+  // update.
   for (std::size_t l = 0; l < n_; ++l) {
-    const PhysicalRobot& plant = *plants_[l];
+    PhysicalRobot& plant = *plants_[l];
+    plant.state_ = period.x.lane(l);
     for (std::size_t i = 0; i < 3; ++i) {
-      watch[l][i] = !plant.snapped_[i] && plant.config_.cable_snap_threshold[i] < kNeverSnaps;
-      watch_any = watch_any || watch[l][i];
+      if (period.snapped[l][i]) plant.snapped_[i] = true;
     }
-  }
-
-  // Phase 2 — the batched substep loop (the scalar while-loop, lane-wide).
-  const double h = plants_[0]->config_.substep;
-  double remaining = kControlPeriodSec;
-  while (remaining > 1e-12) {
-    const double dt = std::min(h, remaining);
-    model_.step_with_effects(x, tau_em, fx, locked.data(), dt, SolverKind::kRk4);
-
-    if (watch_any) {
-      BatchLanes3 tension;
-      model_.cable_force(x, tension);
-      watch_any = false;
-      for (std::size_t l = 0; l < n_; ++l) {
-        for (std::size_t i = 0; i < 3; ++i) {
-          if (watch[l][i] &&
-              std::abs(tension[i][l]) > plants_[l]->config_.cable_snap_threshold[i]) {
-            plants_[l]->snapped_[i] = true;
-            fx[l].cable_scale[i] = 0.0;
-            watch[l][i] = false;
-          }
-          watch_any = watch_any || watch[l][i];
-        }
-      }
-    }
-    remaining -= dt;
-  }
-
-  // Phase 3 — scatter states back and run the per-lane wrist update.
-  for (std::size_t l = 0; l < n_; ++l) {
-    plants_[l]->state_ = x.lane(l);
-    plants_[l]->finish_period(setups[l]);
+    plant.finish_period(setups[l]);
   }
 }
 

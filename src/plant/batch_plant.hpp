@@ -5,9 +5,14 @@
 // PhysicalRobot::step_control_period — begin_period (brakes, noise,
 // tissue) and finish_period (wrist axes) stay per-plant scalar code; only
 // the 20-substep RK4 loop in the middle, which is ~all of the work, runs
-// through BatchRavenModel.  Because the batched solver is bit-identical
-// to the scalar one (see dynamics/batch_model.hpp), every lane's
-// trajectory matches what that plant would produce stepped alone.
+// through one step_plant_period call.  Because that kernel is
+// bit-identical to the scalar substep loop (see dynamics/batch_model.hpp),
+// every lane's trajectory matches what that plant would produce stepped
+// alone.
+//
+// A BatchPlant is a view: it borrows the plants and builds nothing, so a
+// caller may bind a fresh one to whichever plants tick together this
+// period.
 #pragma once
 
 #include <array>
@@ -40,7 +45,6 @@ class BatchPlant {
  private:
   std::array<PhysicalRobot*, kBatchLanes> plants_{};
   std::size_t n_ = 0;
-  BatchRavenModel model_;
 };
 
 }  // namespace rg

@@ -128,7 +128,7 @@ class PhysicalRobot {
   }
   [[nodiscard]] const std::array<bool, 3>& snapped_axes() const noexcept { return snapped_; }
 
-  [[nodiscard]] const RavenDynamicsModel& model() const noexcept { return model_; }
+  [[nodiscard]] RG_REALTIME const RavenDynamicsModel& model() const noexcept { return model_; }
   [[nodiscard]] const RavenKinematics& kinematics() const noexcept { return kinematics_; }
   [[nodiscard]] const PlantConfig& config() const noexcept { return config_; }
 

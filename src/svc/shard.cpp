@@ -13,6 +13,8 @@ GatewayShard::GatewayShard(const ShardConfig& config)
       ring_(config.max_queue),
       burst_(std::min(kDrainBurst, config.max_queue)),
       est_model_(config.engine.detection.estimator.model) {
+  chunk_.reserve(kBatchLanes);
+  datagrams_.reserve(kBatchLanes);
   auto& reg = obs::Registry::global();
   latency_hist_ = reg.histogram("rg.gw.ingest_to_verdict_ns");
   round_lanes_hist_ = reg.histogram("rg.gw.round.lanes");
@@ -160,6 +162,7 @@ RG_THREAD(shard) void GatewayShard::apply_items(const ShardItem* items, std::siz
         SessionEngineConfig cfg = config_.engine;
         cfg.plant.seed = config_.plant_seed_base + item.session;
         sessions_.emplace(item.session, std::make_unique<LocalSession>(cfg));
+        ready_.reserve(sessions_.size());
         break;
       }
       case ShardItem::Kind::kClose: {
@@ -182,25 +185,22 @@ RG_THREAD(shard) void GatewayShard::apply_items(const ShardItem* items, std::siz
 }
 
 RG_THREAD(shard) void GatewayShard::run_rounds() {
-  std::vector<LocalSession*> ready;
-  std::vector<LocalSession*> chunk;
-  std::vector<std::pair<ItpBytes, std::uint64_t>> datagrams;
   while (true) {
-    ready.clear();
+    ready_.clear();
     for (auto& [id, ls] : sessions_) {  // std::map: ascending id, deterministic
-      if (!ls->mailbox.empty()) ready.push_back(ls.get());
+      if (!ls->mailbox.empty()) ready_.push_back(ls.get());
     }
-    if (ready.empty()) break;
-    for (std::size_t base = 0; base < ready.size(); base += kBatchLanes) {
-      const std::size_t n = std::min(kBatchLanes, ready.size() - base);
-      chunk.assign(ready.begin() + static_cast<std::ptrdiff_t>(base),
-                   ready.begin() + static_cast<std::ptrdiff_t>(base + n));
-      datagrams.clear();
-      for (LocalSession* ls : chunk) {
-        datagrams.push_back(std::move(ls->mailbox.front()));
+    if (ready_.empty()) break;
+    for (std::size_t base = 0; base < ready_.size(); base += kBatchLanes) {
+      const std::size_t n = std::min(kBatchLanes, ready_.size() - base);
+      chunk_.assign(ready_.begin() + static_cast<std::ptrdiff_t>(base),
+                    ready_.begin() + static_cast<std::ptrdiff_t>(base + n));
+      datagrams_.clear();
+      for (LocalSession* ls : chunk_) {
+        datagrams_.push_back(std::move(ls->mailbox.front()));
         ls->mailbox.pop_front();
       }
-      round_tick(chunk, datagrams);
+      round_tick(chunk_, datagrams_);
     }
   }
 }

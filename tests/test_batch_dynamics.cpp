@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -72,7 +73,7 @@ TEST(BatchDynamics, DerivativeBitIdenticalToScalar) {
       BatchLanes3 tau_em;
       batch.tau_em_from_currents(cur, tau_em);
       BatchState dx;
-      batch.derivative(x, tau_em, nullptr, nullptr, dx);
+      batch.derivative(x, tau_em, dx);
 
       for (std::size_t l = 0; l < kBatchLanes; ++l) {
         const State ref = scalar.derivative(states[l], currents[l]);
@@ -86,22 +87,49 @@ TEST(BatchDynamics, DerivativeBitIdenticalToScalar) {
   }
 }
 
-TEST(BatchDynamics, CableForceBitIdenticalToScalar) {
-  const RavenDynamicsParams params;
-  const RavenDynamicsModel scalar(params);
-  const BatchRavenModel batch(params);
+TEST(BatchDynamics, PlantPeriodSnapsAtScalarCableTension) {
+  // One substep of the fused plant kernel from random states.  Each snap
+  // threshold sits at the scalar model's cable tension at the new state —
+  // equal (strict >: stays intact) or one ulp below (snaps) — and
+  // alternate rounds swap which axes get which, so a tension one ulp off
+  // the scalar one flips a verdict whichever way it errs.
+  for (bool hard_stops : {false, true}) {
+    RavenDynamicsParams params;
+    params.enforce_hard_stops = hard_stops;
+    const RavenDynamicsModel scalar(params);
+    constexpr double kSubstep = 5.0e-5;
 
-  std::mt19937_64 gen(11);
-  const auto states = random_states(gen, 2.0);
-  BatchState x;
-  for (std::size_t l = 0; l < kBatchLanes; ++l) x.set_lane(l, states[l]);
+    std::mt19937_64 gen(11);
+    for (int round = 0; round < 20; ++round) {
+      const std::size_t parity = static_cast<std::size_t>(round) % 2;
+      const auto states = random_states(gen, 2.0);
+      const auto currents = random_currents(gen);
 
-  BatchLanes3 tension;
-  batch.cable_force(x, tension);
-  for (std::size_t l = 0; l < kBatchLanes; ++l) {
-    const Vec3 ref = scalar.cable_force(states[l]);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(tension[i][l], ref[i]) << "lane " << l << " axis " << i;
+      PlantPeriodLanes period;
+      std::array<State, kBatchLanes> expected{};
+      for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        period.x.set_lane(l, states[l]);
+        for (std::size_t i = 0; i < 3; ++i) period.currents[i][l] = currents[l][i];
+        expected[l] = scalar.step(states[l], currents[l], kSubstep, SolverKind::kRk4);
+        const Vec3 tension = scalar.cable_force(expected[l]);
+        for (std::size_t i = 0; i < 3; ++i) {
+          const double at = std::abs(tension[i]);
+          ASSERT_GT(at, 0.0);
+          period.snap_threshold[i][l] = (l + i + parity) % 2 == 0 ? at : std::nextafter(at, 0.0);
+        }
+      }
+      step_plant_period(scalar.kernel_params(), hard_stops, kSubstep, kSubstep, period);
+
+      for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        const State got = period.x.lane(l);
+        for (std::size_t i = 0; i < 12; ++i) {
+          EXPECT_EQ(got[i], expected[l][i]) << "lane " << l << " component " << i;
+        }
+        for (std::size_t i = 0; i < 3; ++i) {
+          EXPECT_EQ(period.snapped[l][i], (l + i + parity) % 2 == 1)
+              << "lane " << l << " axis " << i << " hard_stops=" << hard_stops;
+        }
+      }
     }
   }
 }
@@ -204,6 +232,196 @@ TEST(BatchPlant, LanesMatchScalarPlantsBitwise) {
   // The profile is tuned to snap at least one cable; keep the coverage
   // honest if the physics drifts.
   EXPECT_TRUE(any_snapped);
+}
+
+/// Scalar reference plants and the plants BatchPlant views step, built
+/// pairwise from the same configs.  Each period, the scalar twins of the
+/// member lanes step one by one and the batched twins step through a
+/// fresh BatchPlant view over exactly those lanes — as a gateway round
+/// binds whichever sessions have a datagram.
+class PlantTwins {
+ public:
+  using DriveFn = std::function<PlantDrive(std::size_t lane, int period)>;
+
+  explicit PlantTwins(const std::vector<PlantConfig>& configs) {
+    scalar_.reserve(configs.size());
+    batched_.reserve(configs.size());
+    for (const PlantConfig& c : configs) {
+      scalar_.emplace_back(c);
+      batched_.emplace_back(c);
+    }
+  }
+
+  /// Applies `f` to both twins of `lane` (initial joints, tissue, ...).
+  void setup(std::size_t lane, const std::function<void(PhysicalRobot&)>& f) {
+    f(scalar_[lane]);
+    f(batched_[lane]);
+  }
+
+  void step(std::span<const std::size_t> members, int period, const DriveFn& drive) {
+    std::vector<PhysicalRobot*> ptrs;
+    std::vector<PlantDrive> drives;
+    for (std::size_t lane : members) {
+      const PlantDrive d = drive(lane, period);
+      scalar_[lane].step_control_period(d.currents, d.brakes_engaged, d.wrist_currents);
+      ptrs.push_back(&batched_[lane]);
+      drives.push_back(d);
+    }
+    BatchPlant batch(ptrs);
+    ASSERT_EQ(batch.lanes(), members.size());
+    batch.step_control_period(drives);
+  }
+
+  /// Steps every lane together for `periods` periods.
+  void run(int periods, const DriveFn& drive) {
+    std::vector<std::size_t> all(scalar_.size());
+    for (std::size_t l = 0; l < all.size(); ++l) all[l] = l;
+    for (int period = 0; period < periods; ++period) step(all, period, drive);
+  }
+
+  void expect_bitwise_equal(const std::string& what) const {
+    for (std::size_t l = 0; l < scalar_.size(); ++l) {
+      const PhysicalRobot& s = scalar_[l];
+      const PhysicalRobot& b = batched_[l];
+      EXPECT_EQ(s.snapped_axes(), b.snapped_axes()) << what << " lane " << l;
+      for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(s.motor_positions()[i], b.motor_positions()[i]) << what << " lane " << l;
+        EXPECT_EQ(s.motor_velocities()[i], b.motor_velocities()[i]) << what << " lane " << l;
+        EXPECT_EQ(s.joint_positions()[i], b.joint_positions()[i]) << what << " lane " << l;
+        EXPECT_EQ(s.joint_velocities()[i], b.joint_velocities()[i]) << what << " lane " << l;
+        EXPECT_EQ(s.wrist_positions()[i], b.wrist_positions()[i]) << what << " lane " << l;
+        EXPECT_EQ(s.wrist_velocities()[i], b.wrist_velocities()[i]) << what << " lane " << l;
+      }
+      ASSERT_EQ(s.tissue() != nullptr, b.tissue() != nullptr) << what << " lane " << l;
+      if (s.tissue() != nullptr) {
+        EXPECT_EQ(s.tissue()->max_depth(), b.tissue()->max_depth()) << what << " lane " << l;
+        EXPECT_EQ(s.tissue()->damaged(), b.tissue()->damaged()) << what << " lane " << l;
+      }
+    }
+  }
+
+  [[nodiscard]] const PhysicalRobot& batched(std::size_t lane) const { return batched_[lane]; }
+
+ private:
+  std::vector<PhysicalRobot> scalar_;
+  std::vector<PhysicalRobot> batched_;
+};
+
+/// Sinusoidal drive whose brakes close on lane l at period 30 + 20 l and
+/// open 90 periods later.  Brakes lock the shafts 50 periods after they
+/// close, so around period 80 a batch of four or more lanes holds a
+/// locked lane (0), coasting lanes (1, 2) and driven ones (3+) at once.
+PlantDrive staggered_brake_drive(std::size_t lane, int period) {
+  PlantDrive d;
+  const double phase = 0.013 * period + 0.4 * static_cast<double>(lane);
+  d.currents = {6.0 * std::sin(phase), 3.0 * std::cos(phase), 1.5 * std::sin(2.0 * phase)};
+  const int close = 30 + 20 * static_cast<int>(lane);
+  d.brakes_engaged = period >= close && period < close + 90;
+  d.wrist_currents = {0.2 * std::sin(phase), 0.1, -0.05};
+  return d;
+}
+
+std::vector<PlantConfig> snapping_plants(std::size_t n, std::uint64_t seed) {
+  std::vector<PlantConfig> configs;
+  for (std::size_t l = 0; l < n; ++l) configs.push_back(snapping_plant(seed + l));
+  return configs;
+}
+
+TEST(BatchPlant, EveryLaneCountMatchesScalar) {
+  for (std::size_t n = 1; n <= kBatchLanes; ++n) {
+    PlantTwins twins(snapping_plants(n, 200 + 10 * n));
+    twins.run(260, staggered_brake_drive);
+    twins.expect_bitwise_equal(std::to_string(n) + " lanes");
+  }
+}
+
+TEST(BatchPlant, TissueContactLaneMatchesScalar) {
+  // Lane 1 works 2 mm inside compliant tissue, then a shoulder current
+  // sweeps it laterally (the TissueIntegration shear scenario); its
+  // neighbours run free.
+  std::vector<PlantConfig> configs(3);
+  for (std::size_t l = 0; l < configs.size(); ++l) configs[l].seed = 300 + l;
+  PlantTwins twins(configs);
+  for (std::size_t l = 0; l < configs.size(); ++l) {
+    twins.setup(l, [](PhysicalRobot& r) { r.set_joint_config(JointVector{0.0, 1.5, 0.15}); });
+  }
+  twins.setup(1, [](PhysicalRobot& r) {
+    TissueParams p;
+    p.surface_point = r.end_effector() + Vec3{0.0, 0.0, 2e-3};
+    p.normal = Vec3{0.0, 0.0, 1.0};
+    r.add_tissue(p);
+  });
+  twins.run(90, [](std::size_t lane, int period) {
+    PlantDrive d;
+    if (period >= 30) d.currents = {6.0 - static_cast<double>(lane), 0.0, 0.0};
+    return d;
+  });
+  twins.expect_bitwise_equal("tissue");
+  ASSERT_NE(twins.batched(1).tissue(), nullptr);
+  EXPECT_GT(twins.batched(1).tissue()->max_depth(), 0.0);
+  EXPECT_TRUE(twins.batched(1).tissue()->sheared());
+}
+
+TEST(BatchPlant, NoHardStopPlantsMatchScalar) {
+  std::vector<PlantConfig> configs = snapping_plants(4, 400);
+  for (PlantConfig& c : configs) c.dynamics.enforce_hard_stops = false;
+  PlantTwins twins(configs);
+  twins.run(260, staggered_brake_drive);
+  twins.expect_bitwise_equal("no hard stops");
+}
+
+TEST(BatchPlant, LanesSnappingDifferentAxesInOnePeriodMatchScalar) {
+  // Quiet lanes until period 20, then lane 0 steps its shoulder current
+  // and lane 1 its elbow current; both cables give way inside that one
+  // period, on different axes.  Lane 2 stays quiet and intact.
+  std::vector<PlantConfig> configs(3);
+  for (std::size_t l = 0; l < configs.size(); ++l) {
+    configs[l].seed = 500 + l;
+    configs[l].current_noise_stddev = 0.0;
+    configs[l].cable_snap_threshold = {1.0, 1.0, 400.0};
+  }
+  PlantTwins twins(configs);
+  constexpr int kStep = 20;
+  twins.run(kStep, [](std::size_t, int) { return PlantDrive{}; });
+  for (std::size_t l = 0; l < 3; ++l) {
+    ASSERT_FALSE(twins.batched(l).cable_snapped()) << "lane " << l << " snapped while quiet";
+  }
+  twins.run(1, [](std::size_t lane, int) {
+    PlantDrive d;
+    if (lane < 2) d.currents[lane] = 10.0;
+    return d;
+  });
+  twins.expect_bitwise_equal("step period");
+  EXPECT_EQ(twins.batched(0).snapped_axes(), (std::array<bool, 3>{true, false, false}));
+  EXPECT_EQ(twins.batched(1).snapped_axes(), (std::array<bool, 3>{false, true, false}));
+  EXPECT_FALSE(twins.batched(2).cable_snapped());
+  twins.run(40, [](std::size_t lane, int) {
+    PlantDrive d;
+    if (lane < 2) d.currents[lane] = 10.0;
+    return d;
+  });
+  twins.expect_bitwise_equal("after the snaps");
+}
+
+TEST(BatchPlant, ViewsReboundToVaryingSubsetsMatchScalar) {
+  // One set of eight plants; each period a different subset (1 to 8
+  // lanes, in varying positions) steps through a fresh view, and the
+  // others sit the period out, as sessions without a datagram do.
+  PlantTwins twins(snapping_plants(kBatchLanes, 600));
+  std::uint32_t lcg = 12345;
+  std::size_t sizes_seen = 0;
+  for (int period = 0; period < 300; ++period) {
+    lcg = lcg * 1664525u + 1013904223u;
+    const std::uint32_t mask = (lcg >> 24) | 1u << (static_cast<unsigned>(period) % kBatchLanes);
+    std::vector<std::size_t> members;
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+      if ((mask >> l) & 1u) members.push_back(l);
+    }
+    sizes_seen |= std::size_t{1} << (members.size() - 1);
+    twins.step(members, period, staggered_brake_drive);
+  }
+  twins.expect_bitwise_equal("rebound views");
+  EXPECT_EQ(sizes_seen, (std::size_t{1} << kBatchLanes) - 1) << "not every view size ran";
 }
 
 TEST(BatchPlant, CompatibleIgnoresSeedOnly) {
