@@ -411,6 +411,9 @@ metrics = get("/metrics")
 # Prometheus text with the canonical dotted names in the HELP lines.
 assert "# HELP rg_gw_rx_packets rg.gw.rx_packets" in metrics, metrics[:400]
 assert "rg_gw_pump_jitter_ns_bucket" in metrics
+# Deferred plant calls ran: each session's plant period is stepped in a
+# separate shard call after its verdict.
+assert "rg_gw_plant_lanes_bucket" in metrics
 for line in metrics.splitlines():
     assert line.startswith("#") or " " in line, line
 stats = json.loads(get("/stats"))

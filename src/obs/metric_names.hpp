@@ -20,6 +20,7 @@ inline constexpr const char* kMetricNames[] = {
     "rg.cal.drift_checks",
     "rg.gw.accepted",
     "rg.gw.ingest_to_verdict_ns",
+    "rg.gw.plant.lanes",
     "rg.gw.pump.deadline_miss",
     "rg.gw.pump.jitter_ns",
     "rg.gw.rejected",

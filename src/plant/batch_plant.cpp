@@ -13,8 +13,6 @@ BatchPlant::BatchPlant(std::span<PhysicalRobot* const> plants) {
   n_ = plants.size();
   for (std::size_t l = 0; l < n_; ++l) {
     require(plants[l] != nullptr, "BatchPlant: null plant");
-    require(compatible(plants.front()->config(), plants[l]->config()),
-            "BatchPlant: incompatible plant configs in one batch");
     plants_[l] = plants[l];
   }
 }

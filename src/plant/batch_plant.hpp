@@ -10,9 +10,12 @@
 // every lane's trajectory matches what that plant would produce stepped
 // alone.
 //
-// A BatchPlant is a view: it borrows the plants and builds nothing, so a
-// caller may bind a fresh one to whichever plants tick together this
-// period.
+// A BatchPlant is a view: it borrows the plants, builds nothing and
+// re-proves nothing, so a caller may bind a fresh one to whichever plants
+// tick together this period.  Compatibility is proved once, where lanes
+// are grouped: LockstepGroup requires RobotStack::compatible() when it
+// forms, and a gateway shard's sessions all come from its one engine
+// config, differing only in plant seed.
 #pragma once
 
 #include <array>
@@ -27,8 +30,9 @@ namespace rg {
 
 class BatchPlant {
  public:
-  /// All plants must be pairwise compatible() and at most kBatchLanes.
-  /// The plants are borrowed, not owned — they must outlive the batch.
+  /// 1..kBatchLanes non-null plants, which the caller guarantees are
+  /// pairwise compatible() (not re-checked here).  The plants are
+  /// borrowed, not owned — they must outlive the batch.
   explicit BatchPlant(std::span<PhysicalRobot* const> plants);
 
   /// True when two plant configs may share a batch: identical physics and

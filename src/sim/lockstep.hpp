@@ -5,8 +5,8 @@
 //
 // Each tick runs every sim's tick_begin() (console → network → the
 // stack's screening), then step_lanes() over the sims' robot stacks
-// (stack/robot_stack.hpp: batched solve, verdicts, batched plant), then
-// every sim's tick_finish() (encoders, oracle, telemetry).  Because the
+// (stack/robot_stack.hpp: batched solve, verdicts, batched plant,
+// encoders), then every sim's tick_finish() (oracle, telemetry).  Because the
 // batched kernels are bit-identical to their scalar twins and every
 // per-sim phase executes the exact statements the scalar step() would,
 // each sim's trajectory, telemetry, and outcome are byte-for-byte what a

@@ -98,10 +98,8 @@ void SurgicalSim::tick_finish() {
   if (screened_this_tick && detection_observer_) detection_observer_(det);
   if (alarm_this_tick && !outcome_.detector_alarm_tick) outcome_.detector_alarm_tick = tick;
 
-  // 4. Encoders for the next cycle.
-  stack_.tick_finish();
-
-  // 5. Ground-truth oracle + bookkeeping.
+  // 4. Ground-truth oracle + bookkeeping (step_lanes already latched the
+  //    encoders for the next cycle).
   const PhysicalRobot& plant = stack_.plant();
   const Plc& plc = stack_.plc();
   update_oracle();

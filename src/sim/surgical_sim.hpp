@@ -143,14 +143,16 @@ class SurgicalSim final : private UsbHops {
   void press_start() { stack_.press_start(); }
 
  private:
-  // step() == tick_begin → step_lanes (solve, resolve, plant) →
-  // tick_finish.  LockstepGroup (sim/lockstep.hpp) runs the same phases
-  // across many sims, so their solves and plant periods run batched.
+  // step() == tick_begin → step_lanes (solve, resolve, plant, encoder
+  // latch) → tick_finish.  LockstepGroup (sim/lockstep.hpp) runs the same
+  // phases across many sims, so their solves and plant periods run
+  // batched.  The oracle reads the plant every tick, so the sim never
+  // defers its plant half.
 
   /// Console → network → ITP hop → the stack's tick_begin.
   void tick_begin();
-  /// Verdict bookkeeping, encoder latch, oracle, trace/flight/event
-  /// bookkeeping, clock tick.
+  /// Verdict bookkeeping, oracle, trace/flight/event bookkeeping, clock
+  /// tick.
   void tick_finish();
 
   // UsbHops: the read and write interposer chains.

@@ -104,17 +104,14 @@ RG_REALTIME void RobotStack::tick_finish() {
   board_.latch_encoders(plant_.motor_positions(), plant_.wrist_positions());
 }
 
-RG_REALTIME RG_DETERMINISTIC void step_lanes(std::span<RobotStack* const> lanes,
-                                             const BatchRavenModel* est_model) {
+RG_REALTIME RG_DETERMINISTIC void resolve_lanes(std::span<RobotStack* const> lanes,
+                                                const BatchRavenModel* est_model) {
   const std::size_t n = lanes.size();
   if (n == 1) {
     RobotStack& lane = *lanes[0];
     RavenDynamicsModel::State next{};
     if (lane.needs_solve()) next = lane.pipeline()->estimator().solve(lane.pending_solve());
     lane.tick_resolve(next);
-    RG_SPAN("plant.step");
-    const PlantDrive& d = lane.drive();
-    lane.plant().step_control_period(d.currents, d.brakes_engaged, d.wrist_currents);
     return;
   }
 
@@ -151,18 +148,43 @@ RG_REALTIME RG_DETERMINISTIC void step_lanes(std::span<RobotStack* const> lanes,
   }
 
   // Phase C — verdicts, mitigation, board latch, PLC.
-  std::array<PlantDrive, kBatchLanes> drives{};
-  std::array<PhysicalRobot*, kBatchLanes> plants{};
-  for (std::size_t l = 0; l < n; ++l) {
-    lanes[l]->tick_resolve(next[l]);
-    drives[l] = lanes[l]->drive();
-    plants[l] = &lanes[l]->plant();
+  for (std::size_t l = 0; l < n; ++l) lanes[l]->tick_resolve(next[l]);
+}
+
+RG_REALTIME RG_DETERMINISTIC void step_plant_lanes(std::span<RobotStack* const> lanes) {
+  const std::size_t n = lanes.size();
+  if (n == 1) {
+    RobotStack& lane = *lanes[0];
+    {
+      RG_SPAN("plant.step");
+      const PlantDrive& d = lane.drive();
+      lane.plant().step_control_period(d.currents, d.brakes_engaged, d.wrist_currents);
+    }
+    lane.tick_finish();
+    return;
   }
 
   // Phase D — one batched plant period over all lanes.
-  RG_SPAN("plant.step_batch");
-  BatchPlant batch(std::span<PhysicalRobot* const>{plants.data(), n});
-  batch.step_control_period(std::span<const PlantDrive>{drives.data(), n});
+  std::array<PlantDrive, kBatchLanes> drives{};
+  std::array<PhysicalRobot*, kBatchLanes> plants{};
+  for (std::size_t l = 0; l < n; ++l) {
+    drives[l] = lanes[l]->drive();
+    plants[l] = &lanes[l]->plant();
+  }
+  {
+    RG_SPAN("plant.step_batch");
+    BatchPlant batch(std::span<PhysicalRobot* const>{plants.data(), n});
+    batch.step_control_period(std::span<const PlantDrive>{drives.data(), n});
+  }
+
+  // Phase E — encoders for each lane's next tick.
+  for (std::size_t l = 0; l < n; ++l) lanes[l]->tick_finish();
+}
+
+RG_REALTIME RG_DETERMINISTIC void step_lanes(std::span<RobotStack* const> lanes,
+                                             const BatchRavenModel* est_model) {
+  resolve_lanes(lanes, est_model);
+  step_plant_lanes(lanes);
 }
 
 }  // namespace rg

@@ -8,10 +8,15 @@
 // The tick is phase-split: A. tick_begin() (feedback → control tick →
 // engage/observe → screening up to the model solve), B. estimator solve,
 // C. tick_resolve() (verdict → E-STOP mitigation → board latch → PLC),
-// D. plant period, E. tick_finish() (encoder latch).  step_lanes(), the
-// one driver of B–D, batches them across up to kBatchLanes stacks; the
-// batched kernels (dynamics/batch_model.hpp) are bit-identical to the
-// scalar ones, so batching never perturbs a verdict, trace or digest.
+// D. plant period, E. tick_finish() (encoder latch).  Two lane drivers
+// batch them across up to kBatchLanes stacks: resolve_lanes() is the
+// verdict half (B–C), step_plant_lanes() the plant half (D–E), and
+// step_lanes() runs one after the other.  The halves need not run
+// together: a stack's plant period for tick t may be stepped any time
+// before its tick t+1's tick_begin() reads the encoders, and with any
+// other stacks.  The batched kernels (dynamics/batch_model.hpp) are
+// bit-identical to the scalar ones, so batching never perturbs a
+// verdict, trace or digest.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +79,10 @@ class RobotStack {
   }
   /// Phase C; sets drive().  `next` is ignored unless needs_solve().
   RG_REALTIME void tick_resolve(const RavenDynamicsModel::State& next);
+  /// The plant drive phase D executes; valid until the next tick_begin().
   [[nodiscard]] RG_REALTIME const PlantDrive& drive() const noexcept { return scratch_.drive; }
-  /// Phase E, after the plant executed drive().
+  /// Phase E, after the plant executed drive(): latch the encoders the
+  /// next tick_begin() reads.
   RG_REALTIME void tick_finish();
 
   // --- this tick, valid from tick_resolve to the next tick_begin ------------
@@ -125,14 +132,28 @@ class RobotStack {
   TickScratch scratch_{};
 };
 
-/// Phases B–D of one tick across 1..kBatchLanes pairwise compatible()
-/// stacks whose tick_begin() has run: one batched estimator solve for the
-/// lanes that need one (unused lanes get a broadcast of the first solving
-/// lane, so their discarded math stays finite), every lane's
-/// tick_resolve(), then one batched plant period.  A single lane runs the
-/// scalar solve and plant instead — bit-identical, without batch set-up.
-/// `est_model` is the batched twin of the lanes' estimator model; it may
-/// be null for a single lane or for stacks without pipelines.
+/// Verdict half (phases B–C) of one tick across 1..kBatchLanes pairwise
+/// compatible() stacks whose tick_begin() has run: one batched estimator
+/// solve for the lanes that need one (unused lanes get a broadcast of the
+/// first solving lane, so their discarded math stays finite), then every
+/// lane's tick_resolve().  A single lane runs the scalar solve instead —
+/// bit-identical, without batch set-up.  `est_model` is the batched twin
+/// of the lanes' estimator model; it may be null for a single lane or for
+/// stacks without pipelines.
+RG_REALTIME RG_DETERMINISTIC void resolve_lanes(std::span<RobotStack* const> lanes,
+                                                const BatchRavenModel* est_model);
+
+/// Plant half (phases D–E) across 1..kBatchLanes pairwise compatible()
+/// stacks whose tick_resolve() has run and whose plant period is still
+/// due: one batched plant period executing each lane's drive() (a single
+/// lane runs the scalar period), then every lane's tick_finish().  The
+/// lanes need not have resolved together.  The caller proves
+/// compatibility where it groups the stacks; this driver re-checks only
+/// the lane count.
+RG_REALTIME RG_DETERMINISTIC void step_plant_lanes(std::span<RobotStack* const> lanes);
+
+/// One whole tick after tick_begin(): resolve_lanes() then
+/// step_plant_lanes() over the same lanes.
 RG_REALTIME RG_DETERMINISTIC void step_lanes(std::span<RobotStack* const> lanes,
                                              const BatchRavenModel* est_model);
 

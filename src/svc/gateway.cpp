@@ -172,19 +172,19 @@ RG_THREAD(pump) void TeleopGateway::publish_snapshot(std::uint64_t now_ms) {
   }
   // Live E-STOP latches become durable here (once per session): the
   // publish throttle is the natural place the pump thread observes the
-  // shard-side PLC state.
+  // shard-side PLC state.  A latch the state plane refuses (ring full)
+  // stays unpersisted, so the next publish submits it again.
   if (config_.persist != nullptr && snap->estop_sessions != 0) {
     const MutexLock lock(table_mutex_);
     for (const SessionStats& s : snap->sessions) {
       if (!s.active || !s.shard.estop) continue;
       auto it = table_.find(s.endpoint);
       if (it == table_.end() || it->second.estop_persisted) continue;
-      it->second.estop_persisted = true;
       persist::StateOp op;
       op.kind = persist::StateOp::Kind::kEstop;
       op.session = s.id;
       op.flag = 1;
-      (void)config_.persist->submit(op);
+      it->second.estop_persisted = config_.persist->submit(op);
     }
   }
   const MutexLock lock(snapshot_mutex_);

@@ -249,7 +249,8 @@ class TeleopGateway {
     /// Restored from a persisted E-STOP latch: every further datagram
     /// from this endpoint is rejected kEstopLatched.
     bool estop_latched = false;
-    /// The live PLC latch has already been submitted to the state plane.
+    /// The state plane accepted the live PLC latch (a refused submit is
+    /// retried at the next snapshot publish).
     bool estop_persisted = false;
   };
 

@@ -19,8 +19,7 @@ RG_REALTIME void SessionEngine::tick_begin(std::optional<std::span<const std::ui
   stack_.tick_begin(itp);
 }
 
-RG_REALTIME SessionEngine::TickResult SessionEngine::tick_finish() {
-  stack_.tick_finish();
+RG_REALTIME SessionEngine::TickResult SessionEngine::record_verdict() {
   const DetectionPipeline::Outcome& out = stack_.outcome();
   if (out.alarm) ++alarms_;
   if (out.blocked) ++blocked_;
@@ -32,12 +31,17 @@ RG_REALTIME SessionEngine::TickResult SessionEngine::tick_finish() {
   return TickResult{stack_.screened() && stack_.accepted(), out.alarm, out.blocked};
 }
 
+RG_REALTIME SessionEngine::TickResult SessionEngine::tick_finish() {
+  stack_.tick_finish();
+  return record_verdict();
+}
+
 RG_REALTIME SessionEngine::TickResult SessionEngine::tick(
     std::optional<std::span<const std::uint8_t>> itp) {
   tick_begin(itp);
   RobotStack* const lane = &stack_;
   step_lanes(std::span<RobotStack* const>{&lane, 1}, nullptr);
-  return tick_finish();
+  return record_verdict();
 }
 
 RG_REALTIME void SessionEngine::fold_digest(const DetectionPipeline::Outcome& out) noexcept {

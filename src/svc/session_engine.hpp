@@ -11,8 +11,10 @@
 //
 // On top of the stack the engine keeps the session's verdict digest,
 // counters and optional calibration sketch.  A shard runs up to
-// kBatchLanes sessions' stacks through step_lanes() between their
-// tick_begin() and tick_finish().
+// kBatchLanes sessions' stacks through resolve_lanes() between their
+// tick_begin() and record_verdict(), and steps their plant periods later
+// through step_plant_lanes() (stack/robot_stack.hpp), before each
+// session's next tick_begin().
 #pragma once
 
 #include <cstdint>
@@ -75,8 +77,12 @@ class SessionEngine {
     stack_.tick_resolve(next);
   }
   [[nodiscard]] RG_REALTIME const PlantDrive& drive() const noexcept { return stack_.drive(); }
-  /// Encoder latch + the verdict's digest, counters and sketch, after the
-  /// caller stepped the plant (scalar or batched lane) with drive().
+  /// The verdict's digest, counters, sketch and tick count — everything
+  /// but the plant.  Valid any time between tick_resolve and the next
+  /// tick_begin, whether or not the plant period has run yet.
+  RG_REALTIME TickResult record_verdict();
+  /// Encoder latch + record_verdict(), after the caller stepped the plant
+  /// (scalar or batched lane) with drive() itself.
   RG_REALTIME TickResult tick_finish();
 
   // --- introspection -------------------------------------------------------

@@ -18,6 +18,7 @@ GatewayShard::GatewayShard(const ShardConfig& config)
   auto& reg = obs::Registry::global();
   latency_hist_ = reg.histogram("rg.gw.ingest_to_verdict_ns");
   round_lanes_hist_ = reg.histogram("rg.gw.round.lanes");
+  plant_lanes_hist_ = reg.histogram("rg.gw.plant.lanes");
   ticks_counter_ =
       reg.counter("rg.gw.shard." + std::to_string(config.index) + ".ticks");
   queue_hwm_gauge_ =
@@ -200,9 +201,34 @@ RG_THREAD(shard) void GatewayShard::run_rounds() {
         datagrams_.push_back(std::move(ls->mailbox.front()));
         ls->mailbox.pop_front();
       }
+      step_due_plants(chunk_);
       round_tick(chunk_, datagrams_);
     }
   }
+}
+
+RG_REALTIME RG_THREAD(shard) RG_DETERMINISTIC void GatewayShard::step_due_plants(
+    const std::vector<LocalSession*>& chunk) {
+  std::array<RobotStack*, kBatchLanes> lanes{};
+  std::size_t n = 0;
+  const auto take_if_due = [&](LocalSession& ls) {
+    if (!ls.plant_due) return;
+    ls.plant_due = false;
+    lanes[n++] = &ls.engine.stack();
+  };
+  // The chunk's sessions whose last tick's plant period is still due:
+  // their tick_begin is about to read the encoders that period latches.
+  for (LocalSession* ls : chunk) take_if_due(*ls);
+  if (n == 0) return;
+  // Fill the call with the shard's other due sessions, ascending id, so
+  // their periods ride this full-width call instead of a later, emptier
+  // one.  Every session comes from config_.engine with only its plant
+  // seed changed, so any lanes are compatible.
+  for (auto it = sessions_.begin(); n < kBatchLanes && it != sessions_.end(); ++it) {
+    take_if_due(*it->second);
+  }
+  obs::Registry::global().observe(plant_lanes_hist_, n);
+  step_plant_lanes(std::span<RobotStack* const>{lanes.data(), n});
 }
 
 RG_REALTIME RG_THREAD(shard) RG_DETERMINISTIC void GatewayShard::round_tick(
@@ -213,19 +239,21 @@ RG_REALTIME RG_THREAD(shard) RG_DETERMINISTIC void GatewayShard::round_tick(
   auto& reg = obs::Registry::global();
   reg.observe(round_lanes_hist_, n);
 
-  // Control cycle + screening, then the shared lane driver (batched
-  // solve, verdicts, batched plant), then per-session bookkeeping.
+  // Control cycle + screening, then the verdict half of the shared lane
+  // driver (batched solve, verdicts, mitigation), then per-session
+  // bookkeeping.  Each plant period is left due for step_due_plants.
   std::array<RobotStack*, kBatchLanes> lanes{};
   for (std::size_t l = 0; l < n; ++l) {
     chunk[l]->engine.tick_begin(std::span<const std::uint8_t>{datagrams[l].first});
     lanes[l] = &chunk[l]->engine.stack();
   }
-  step_lanes(std::span<RobotStack* const>{lanes.data(), n}, &est_model_);
+  resolve_lanes(std::span<RobotStack* const>{lanes.data(), n}, &est_model_);
 
   // rg-lint: allow(nondet) -- latency histogram only; never feeds the verdict
   const std::uint64_t done_ns = obs::monotonic_ns();
   for (std::size_t l = 0; l < n; ++l) {
-    (void)chunk[l]->engine.tick_finish();
+    (void)chunk[l]->engine.record_verdict();
+    chunk[l]->plant_due = true;
     reg.observe(latency_hist_, done_ns - datagrams[l].second);
   }
   total_ticks_ += n;

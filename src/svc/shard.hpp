@@ -8,14 +8,21 @@
 // mailboxes and advances sessions in *rounds*: each round, every session
 // with a pending datagram consumes exactly one and runs one control
 // tick.  Sessions in a round are processed in ascending session-id order
-// and grouped kBatchLanes at a time into step_lanes()
-// (stack/robot_stack.hpp), so the estimator solves and the plant substep
-// loops of up to eight sessions run through the batched SoA kernels —
-// the gateway serves N sessions at far less than N times
-// the scalar cost, and because the batched kernels are bit-identical to
-// the scalar ones, grouping never changes a verdict
-// (tests/test_gateway.cpp asserts determinism at any shard count and any
-// ingest batch size).
+// and grouped kBatchLanes at a time; round_tick runs each group's verdict
+// half, resolve_lanes() (stack/robot_stack.hpp), and leaves every
+// session's plant period due.  Before a group's next tick_begin,
+// step_due_plants steps the group's due periods in one step_plant_lanes()
+// call, filled up to kBatchLanes with the shard's other due sessions in
+// ascending id — so a session's period for tick t always runs before its
+// tick t+1 reads feedback, and the plant twin runs in full-width calls
+// off the verdict path even when datagrams arrive one at a time.  The
+// estimator solves and the plant substep loops of up to eight sessions
+// run through the batched SoA kernels — the gateway serves N sessions at
+// far less than N times the scalar cost, and because the batched kernels
+// are bit-identical to the scalar ones, neither grouping nor deferral
+// ever changes a verdict (tests/test_gateway.cpp asserts determinism at
+// any shard count, ingest batch size and arrival pattern).  A closed or
+// evicted session's due period is dropped with its engine.
 //
 // Thread model: the ring is the only pump→worker channel and it is
 // lock-free — the pump's submit() is one release store in the common
@@ -148,6 +155,8 @@ class GatewayShard {
     SessionEngine engine;
     std::deque<std::pair<ItpBytes, std::uint64_t>> mailbox;
     bool drift_latched = false;  ///< session already raised its drift alarm
+    /// Its last tick resolved but that tick's plant period has not run.
+    bool plant_due = false;
   };
 
   /// Most items one ring drain moves before processing them (bounds the
@@ -160,6 +169,11 @@ class GatewayShard {
   RG_THREAD(shard) void drain_burst(std::vector<ShardItem>& burst);
   RG_THREAD(shard) void apply_items(const ShardItem* items, std::size_t n) RG_REQUIRES(state_mutex_);
   RG_THREAD(shard) void run_rounds() RG_REQUIRES(state_mutex_);
+  /// Step the plant periods `chunk`'s sessions still owe, filling the
+  /// call with other due sessions; runs before the chunk's round_tick.
+  RG_REALTIME RG_THREAD(shard) RG_DETERMINISTIC void step_due_plants(
+      const std::vector<LocalSession*>& chunk) RG_REQUIRES(state_mutex_);
+  /// Phase A, the verdict half and the bookkeeping of one group.
   RG_REALTIME RG_THREAD(shard) RG_DETERMINISTIC void round_tick(
       std::vector<LocalSession*>& chunk,
       std::vector<std::pair<ItpBytes, std::uint64_t>>& datagrams) RG_REQUIRES(state_mutex_);
@@ -211,6 +225,7 @@ class GatewayShard {
 
   obs::MetricId latency_hist_;
   obs::MetricId round_lanes_hist_;
+  obs::MetricId plant_lanes_hist_;
   obs::MetricId ticks_counter_;
   obs::MetricId queue_hwm_gauge_;
   obs::MetricId ring_full_counter_;

@@ -13,18 +13,24 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/itp_injection.hpp"
 #include "net/itp_packet.hpp"
 #include "net/master_console.hpp"
+#include "obs/metrics.hpp"
+#include "persist/state_plane.hpp"
 #include "sim/experiment.hpp"
 #include "svc/gateway.hpp"
 #include "svc/session.hpp"
@@ -464,6 +470,317 @@ TEST(Gateway, ShardedTeleoperationMatchesScalarReplay) {
       EXPECT_EQ(got.estop, s == kAttacked) << "session " << s;
     }
   }
+}
+
+// --- deferred plant periods under fragmented arrivals ----------------------
+
+/// How each control period's datagrams reach a fragmented run.
+struct ArrivalPattern {
+  /// Some sessions hold their datagrams back for one or two periods, then
+  /// deliver the 2–3 queued ones back to back (one mailbox, several
+  /// rounds in one drain).
+  bool catch_up = false;
+  /// Endpoint index of a session that goes silent after period
+  /// `close_after` and is idle-evicted with that tick's plant period
+  /// still due; none when out of range.
+  std::size_t close = ~std::size_t{0};
+  std::size_t close_after = 0;
+};
+
+/// Drive `streams` through a gateway in fragmented slices.  Period 0
+/// opens every session in endpoint order (endpoint s gets id s + 1, on
+/// shard (s + 1) % shards).  Every later period delivers each shard's
+/// sessions on their own, in an order rotated by the period, as slices
+/// of 1, 7 and 8 datagrams, each pumped and drained before the next — so
+/// verdict rounds run 1 to 8 lanes wide and a session's plant period is
+/// often still due when its next datagram arrives.
+std::map<std::string, EndpointOutcome> run_fragmented(
+    std::size_t shards, bool threaded, const std::vector<std::vector<ItpBytes>>& streams,
+    const SessionEngineConfig& engine, const ArrivalPattern& pattern = {}) {
+  constexpr std::uint64_t kIdleTimeoutMs = 100;
+  LoopbackTransport transport;
+  GatewayConfig cfg;
+  cfg.engine = engine;
+  cfg.shards = shards;
+  cfg.threaded = threaded;
+  cfg.idle_timeout_ms = pattern.close < streams.size() ? kIdleTimeoutMs : 1u << 30;
+  TeleopGateway gateway(cfg, transport);
+  const auto from = [](std::size_t s) { return ep(static_cast<std::uint16_t>(5000 + s)); };
+
+  std::uint64_t now_ms = 1;
+  for (std::size_t s = 0; s < streams.size(); ++s) inject(transport, from(s), streams[s][0]);
+  pump_all(gateway, transport, now_ms);
+
+  // Periods a session holds back: two sessions in three lag, some for two
+  // periods (3 datagrams catch up), some for one (2 catch up).
+  const auto holds = [&](std::size_t s, std::size_t t) {
+    if (!pattern.catch_up) return false;
+    if (s % 3 == 0) return t % 10 == 3 || t % 10 == 4;
+    if (s % 3 == 1) return t % 7 == 2;
+    return false;
+  };
+  constexpr std::array<std::size_t, 3> kSlices{1, 7, 8};
+  const std::size_t ticks = streams.front().size();
+  std::vector<std::size_t> next(streams.size(), 1);  // first undelivered datagram
+  for (std::size_t t = 1; t < ticks; ++t) {
+    const bool last = t + 1 == ticks;
+    for (std::size_t k = 0; k < shards; ++k) {
+      std::vector<std::size_t> members;
+      for (std::size_t s = 0; s < streams.size(); ++s) {
+        if ((s + 1) % shards != k) continue;
+        if (pattern.close < streams.size() && s == pattern.close && t > pattern.close_after) {
+          continue;
+        }
+        members.push_back(s);
+      }
+      if (members.empty()) continue;
+      // The closing period delivers in ascending id, so the session that
+      // closes (its shard's highest id) runs its shard's last round.
+      if (t != pattern.close_after) {
+        std::rotate(members.begin(),
+                    members.begin() + static_cast<std::ptrdiff_t>(t % members.size()),
+                    members.end());
+      }
+      std::vector<std::pair<std::size_t, std::size_t>> due;  // (endpoint, datagram)
+      for (const std::size_t s : members) {
+        if (holds(s, t) && !last) continue;
+        for (; next[s] <= t; ++next[s]) due.emplace_back(s, next[s]);
+      }
+      for (std::size_t at = 0, slice = 0; at < due.size(); ++slice) {
+        const std::size_t end = std::min(due.size(), at + kSlices[slice % kSlices.size()]);
+        for (; at < end; ++at) {
+          inject(transport, from(due[at].first), streams[due[at].first][due[at].second]);
+        }
+        pump_all(gateway, transport, now_ms);
+      }
+    }
+    if (t == pattern.close_after && pattern.close < streams.size()) {
+      // Past the idle timeout, every other session re-sends its newest
+      // datagram: a rejected duplicate that keeps it alive without a
+      // tick, so the eviction scan closes only the silent session.
+      now_ms += 2 * kIdleTimeoutMs;
+      for (std::size_t s = 0; s < streams.size(); ++s) {
+        if (s != pattern.close) inject(transport, from(s), streams[s][t]);
+      }
+      pump_all(gateway, transport, now_ms);
+    }
+  }
+
+  std::map<std::string, EndpointOutcome> out;
+  for (const SessionStats& s : gateway.sessions()) {
+    out[s.endpoint.to_string()] =
+        EndpointOutcome{s.id,            s.counters.accepted, s.shard.ticks, s.shard.alarms,
+                        s.shard.blocked, s.shard.digest,      s.shard.estop};
+  }
+  gateway.shutdown();
+  return out;
+}
+
+/// A session's first `ticks` datagrams alone through the scalar tick, as
+/// the outcome fields the gateway reports; cached per (stream, id, ticks).
+class ScalarReplays {
+ public:
+  ScalarReplays(const SessionEngineConfig& engine,
+                const std::vector<std::vector<ItpBytes>>& streams)
+      : engine_(engine), streams_(streams) {}
+
+  const EndpointOutcome& get(std::size_t stream, std::uint32_t id, std::uint64_t ticks) {
+    const auto key = std::make_tuple(stream, id, ticks);
+    const auto it = cache_.find(key);
+    if (it != cache_.end()) return it->second;
+    SessionEngineConfig cfg = engine_;
+    cfg.plant.seed = GatewayConfig{}.plant_seed_base + id;
+    SessionEngine scalar(cfg);
+    for (std::uint64_t t = 0; t < ticks; ++t) {
+      (void)scalar.tick(std::span<const std::uint8_t>{streams_[stream][t]});
+    }
+    return cache_[key] = EndpointOutcome{id,
+                                         ticks,
+                                         scalar.ticks(),
+                                         scalar.alarms(),
+                                         scalar.blocked(),
+                                         scalar.verdict_digest(),
+                                         scalar.estop_latched()};
+  }
+
+ private:
+  SessionEngineConfig engine_;
+  const std::vector<std::vector<ItpBytes>>& streams_;
+  std::map<std::tuple<std::size_t, std::uint32_t, std::uint64_t>, EndpointOutcome> cache_;
+};
+
+/// Every session's ticks, digest, alarms, blocked count and E-STOP latch
+/// against its scalar replay.
+void expect_matches_replay(const std::map<std::string, EndpointOutcome>& run,
+                           std::size_t sessions, ScalarReplays& replays,
+                           const std::string& where) {
+  ASSERT_EQ(run.size(), sessions) << where;
+  for (std::size_t s = 0; s < sessions; ++s) {
+    const EndpointOutcome& got = run.at(ep(static_cast<std::uint16_t>(5000 + s)).to_string());
+    EXPECT_EQ(got.id, s + 1) << where << " session " << s;
+    const EndpointOutcome& want = replays.get(s, got.id, got.ticks);
+    EXPECT_EQ(got.ticks, want.ticks) << where << " session " << s;
+    EXPECT_EQ(got.digest, want.digest) << where << " session " << s;
+    EXPECT_EQ(got.alarms, want.alarms) << where << " session " << s;
+    EXPECT_EQ(got.blocked, want.blocked) << where << " session " << s;
+    EXPECT_EQ(got.estop, want.estop) << where << " session " << s;
+  }
+}
+
+/// 16 sessions per shard: eight console streams, each played by two or
+/// more sessions with different plant seeds; endpoint `attacked` carries
+/// the scenario-A injection.
+std::vector<std::vector<ItpBytes>> fragmented_streams(std::size_t sessions, std::size_t ticks,
+                                                      std::size_t attacked) {
+  std::vector<std::vector<ItpBytes>> streams;
+  for (std::size_t s = 0; s < sessions; ++s) {
+    streams.push_back(console_stream(s % 8, ticks, s == attacked));
+  }
+  return streams;
+}
+
+TEST(Gateway, FragmentedArrivalsMatchScalarReplay) {
+  // Verdict rounds of 1 to 8 lanes, catch-up bursts of 2–3 datagrams per
+  // session, and plant periods stepped later in calls filled with other
+  // sessions: every session must still match its scalar replay exactly.
+  constexpr std::size_t kTicks = 1400;
+  constexpr std::size_t kAttacked = 5;
+  const SessionEngineConfig engine = armed_engine();
+  const std::vector<std::vector<ItpBytes>> streams = fragmented_streams(64, kTicks, kAttacked);
+  ScalarReplays replays(engine, streams);
+  ArrivalPattern pattern;
+  pattern.catch_up = true;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    const std::vector<std::vector<ItpBytes>> used(
+        streams.begin(), streams.begin() + static_cast<std::ptrdiff_t>(16 * shards));
+    for (const bool threaded : {false, true}) {
+      const std::string where =
+          "shards=" + std::to_string(shards) + (threaded ? " threaded" : " inline");
+      const auto run = run_fragmented(shards, threaded, used, engine, pattern);
+      expect_matches_replay(run, used.size(), replays, where);
+      // The scenario-A session was caught and stopped; no clean one was.
+      for (std::size_t s = 0; s < used.size(); ++s) {
+        const EndpointOutcome& got = run.at(ep(static_cast<std::uint16_t>(5000 + s)).to_string());
+        EXPECT_EQ(got.ticks, kTicks) << where << " session " << s;
+        EXPECT_EQ(got.estop, s == kAttacked) << where << " session " << s;
+      }
+    }
+  }
+}
+
+TEST(Gateway, SessionClosedWithPlantPeriodDueLeavesOthersExact) {
+  // The last session of the highest-id shard runs its shard's last round
+  // of period 150, then goes silent and is evicted before any plant call
+  // could take its due period.  Its verdicts stop at 151 ticks; every
+  // other session carries on and must match its replay.
+  constexpr std::size_t kTicks = 300;
+  const SessionEngineConfig engine = armed_engine();
+  ArrivalPattern pattern;
+  pattern.close_after = 150;
+  for (const std::size_t shards : {1u, 2u}) {
+    const std::vector<std::vector<ItpBytes>> streams =
+        fragmented_streams(16 * shards, kTicks, ~std::size_t{0});
+    ScalarReplays replays(engine, streams);
+    pattern.close = streams.size() - 1;
+    for (const bool threaded : {false, true}) {
+      const std::string where =
+          "shards=" + std::to_string(shards) + (threaded ? " threaded" : " inline");
+      const auto run = run_fragmented(shards, threaded, streams, engine, pattern);
+      expect_matches_replay(run, streams.size(), replays, where);
+      for (std::size_t s = 0; s < streams.size(); ++s) {
+        const EndpointOutcome& got = run.at(ep(static_cast<std::uint16_t>(5000 + s)).to_string());
+        EXPECT_EQ(got.ticks, s == pattern.close ? pattern.close_after + 1 : kTicks)
+            << where << " session " << s;
+      }
+    }
+  }
+}
+
+TEST(Gateway, FullShardsStepPlantPeriodsInFullCalls) {
+  // With every shard holding 16 sessions, the 1/7/8 slices give verdict
+  // rounds of every width, yet each deferred plant call fills all eight
+  // lanes from the shard's due sessions.
+  constexpr std::size_t kTicks = 120;
+  const SessionEngineConfig engine = armed_engine();
+  const auto hist = [](const char* name) {
+    const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+    const obs::HistogramData* h = snap.histogram(name);
+    return h == nullptr ? std::make_pair(std::uint64_t{0}, std::uint64_t{0})
+                        : std::make_pair(h->count, h->sum);
+  };
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    const std::vector<std::vector<ItpBytes>> streams =
+        fragmented_streams(16 * shards, kTicks, ~std::size_t{0});
+    const auto plant_before = hist("rg.gw.plant.lanes");
+    const auto round_before = hist("rg.gw.round.lanes");
+    (void)run_fragmented(shards, false, streams, engine);
+    const auto plant_after = hist("rg.gw.plant.lanes");
+    const auto round_after = hist("rg.gw.round.lanes");
+    const std::uint64_t calls = plant_after.first - plant_before.first;
+    const std::uint64_t rounds = round_after.first - round_before.first;
+    // Two full calls per shard per period after the first two periods.
+    EXPECT_GE(calls, 2 * shards * (kTicks - 2)) << "shards=" << shards;
+    EXPECT_EQ(plant_after.second - plant_before.second, kBatchLanes * calls)
+        << "shards=" << shards;
+    // The verdict rounds themselves ran well short of eight lanes.
+    EXPECT_GT(rounds, calls) << "shards=" << shards;
+  }
+}
+
+// --- E-STOP durability under state-plane backpressure ----------------------
+
+TEST(Gateway, RefusedEstopLatchIsRetriedAfterRingDrains) {
+  // A state-plane ring saturated with window notes refuses the E-STOP
+  // latch a snapshot publish submits.  The gateway must not count that
+  // latch as persisted: once the ring has room, the next publish submits
+  // it again, so a crash after that flush restarts the session latched.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "rg_test_gateway_estop_retry";
+  std::filesystem::remove_all(dir);
+  persist::StatePlaneConfig pc;
+  pc.dir = dir.string();
+  pc.ring_capacity = 8;
+  pc.start_flusher = false;  // the ring only drains at flush_now()
+  pc.journal_max_bytes = 1 << 20;
+  auto opened = persist::StatePlane::open(pc);
+  ASSERT_TRUE(opened.ok());
+  persist::StatePlane& plane = *opened.value();
+  {
+    LoopbackTransport transport;
+    GatewayConfig cfg = inline_config();
+    cfg.engine = armed_engine();
+    cfg.persist = &plane;
+    cfg.stats_publish_period_ms = 0;  // publish only by hand
+    TeleopGateway gateway(cfg, transport);
+
+    // 1. The scenario-A stream latches E-STOP, and its window notes fill
+    //    the ring behind the session's open.
+    for (const ItpBytes& bytes : console_stream(4, 1400, true)) inject(transport, ep(6000), bytes);
+    pump_all(gateway, transport, 1);
+    const std::vector<SessionStats> sessions = gateway.sessions();
+    ASSERT_EQ(sessions.size(), 1u);
+    ASSERT_TRUE(sessions[0].shard.estop);
+    const std::uint32_t id = sessions[0].id;
+    const std::uint64_t dropped = plane.stats().ops_dropped;
+    ASSERT_GT(dropped, 0u);
+
+    // 2. The latch is refused on the full ring.
+    gateway.publish_snapshot(2);
+    EXPECT_EQ(plane.stats().ops_dropped, dropped + 1);
+    plane.flush_now();
+    ASSERT_EQ(plane.state().sessions.count(id), 1u);
+    EXPECT_FALSE(plane.state().sessions.at(id).estop);
+
+    // 3. The flush emptied the ring: the next publish retries the latch.
+    gateway.publish_snapshot(3);
+    plane.flush_now();
+    // 4. Durable.
+    EXPECT_TRUE(plane.state().sessions.at(id).estop);
+    EXPECT_EQ(plane.stats().ops_dropped, dropped + 1);
+    gateway.shutdown();
+  }
+  plane.stop();
+  std::filesystem::remove_all(dir);
 }
 
 // --- streaming calibration: drift alarms + cohort sketch -------------------
